@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liprcp.attack import (
     MAXIMIZE_TRUE_SCORE,
@@ -8,9 +10,22 @@ from liprcp.attack import (
     coverage_under_attack,
     pgd_attack,
     pgd_attack_batch,
+    undecided_rows,
 )
-from liprcp.conformal import CalibrationRecord
-from liprcp.lipnet import AffineLayer, LipschitzClassifier, build_orthogonal, forward
+from liprcp.conformal import (
+    CalibrationRecord,
+    calibrate,
+    coverage_from_membership,
+    vanilla_membership,
+)
+from liprcp.datasets import make_gaussian_mixture
+from liprcp.lipnet import (
+    AffineLayer,
+    LipschitzClassifier,
+    build_orthogonal,
+    forward,
+    train_toy,
+)
 from liprcp.scores import ScoreSpec, score
 
 
@@ -148,3 +163,118 @@ class TestCoverageUnderAttack:
             if prev is not None:
                 assert cov <= prev + 1e-12
             prev = cov
+
+
+@pytest.fixture(scope="module")
+def trained_model():
+    """The trained all-orthogonal classifier of the acceptance suite."""
+    ds = make_gaussian_mixture(2000, 6, 3, separation=6.0, seed=101)
+    model = LipschitzClassifier(
+        layers=(build_orthogonal(6, 6, seed=1), build_orthogonal(6, 3, seed=2))
+    )
+    return train_toy(model, ds.data, ds.labels, epochs=120, lr=0.5, seed=3)
+
+
+def unpruned_coverage(model, rec, x, y, cfg):
+    member = vanilla_membership(rec, forward(model, pgd_attack_batch(model, x, y, cfg)))
+    return coverage_from_membership(member, y)
+
+
+class TestPruning:
+    @pytest.mark.parametrize("objective", [MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE])
+    def test_matches_unpruned_on_acceptance_mixtures(self, trained_model, objective):
+        # the 20 seeded mixtures and the epsilon grid of acceptance criterion 7
+        spec = ScoreSpec()
+        undecided_total = 0
+        for run in range(20):
+            ds = make_gaussian_mixture(1200, 6, 3, separation=6.0, seed=4000 + run)
+            cal, ev = ds.take(np.arange(1000)), ds.take(np.arange(1000, 1200))
+            cal_scores = score(spec, forward(trained_model, cal.data), cal.labels)
+            rec = calibrate(cal_scores, 0.1, spec, trained_model.lipschitz_product)
+            for eps in (0.0, 0.1, 0.25, 0.5):
+                cfg = AttackConfig(
+                    epsilon=eps, steps=10, restarts=2, seed=run, objective=objective
+                )
+                pruned = coverage_under_attack(trained_model, rec, ev.data, ev.labels, cfg)
+                full = unpruned_coverage(trained_model, rec, ev.data, ev.labels, cfg)
+                assert pruned * ev.n == full * ev.n
+                logits = forward(trained_model, ev.data)
+                undecided_total += undecided_rows(
+                    trained_model, rec, logits, ev.labels, cfg
+                ).sum()
+        # the comparison is only informative if some rows were attacked
+        assert undecided_total > 0
+
+    def test_full_and_empty_masks(self, trained_model):
+        rng = np.random.default_rng(48)
+        x = rng.standard_normal((40, 6))
+        y = rng.integers(0, 3, size=40)
+        cfg = AttackConfig(epsilon=0.4, steps=8, restarts=3, seed=17)
+        full = pgd_attack_batch(trained_model, x, y, cfg)
+        masked = pgd_attack_batch(trained_model, x, y, cfg, mask=np.ones(40, bool))
+        np.testing.assert_array_equal(masked, full)
+        none = pgd_attack_batch(trained_model, x, y, cfg, mask=np.zeros(40, bool))
+        np.testing.assert_array_equal(none, x)
+
+    @pytest.mark.parametrize("objective", [MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE])
+    def test_masked_rows_match_unmasked_run(self, trained_model, objective):
+        # several restarts with few steps keep the restart noise visible, so
+        # this fails if masked rows drew different noise
+        rng = np.random.default_rng(49)
+        x = rng.standard_normal((60, 6))
+        y = rng.integers(0, 3, size=60)
+        mask = rng.uniform(size=60) < 0.3
+        cfg = AttackConfig(
+            epsilon=0.5, steps=2, restarts=5, seed=18, objective=objective
+        )
+        full = pgd_attack_batch(trained_model, x, y, cfg)
+        masked = pgd_attack_batch(trained_model, x, y, cfg, mask=mask)
+        np.testing.assert_allclose(masked[mask], full[mask], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(masked[~mask], x[~mask])
+
+    def test_mask_must_be_boolean_per_row(self, trained_model):
+        x = np.zeros((4, 6))
+        y = np.zeros(4, dtype=int)
+        cfg = AttackConfig(epsilon=0.1, steps=1)
+        for bad in (np.array([0, 2]), np.ones(3, bool)):
+            with pytest.raises(ValueError):
+                pgd_attack_batch(trained_model, x, y, cfg, mask=bad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        weight_scale=st.floats(0.3, 4.0),
+        temperature=st.sampled_from([0.1, 1.0]),
+        q=st.one_of(
+            st.sampled_from([1e-12, 1e-6, 1e-3, 1 - 1e-3, 1 - 1e-6, 1 - 1e-12]),
+            st.floats(0.01, 0.99),
+        ),
+        eps=st.floats(0.05, 1.5),
+        objective=st.sampled_from([MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE]),
+    )
+    def test_settled_rows_never_flip_under_full_attack(
+        self, seed, weight_scale, temperature, q, eps, objective
+    ):
+        # the first layer is not orthogonal, so the Lipschitz product comes
+        # from power iteration
+        rng = np.random.default_rng(seed)
+        w = weight_scale * rng.standard_normal((6, 5)) / np.sqrt(5)
+        model = LipschitzClassifier(
+            layers=(
+                AffineLayer(w, rng.standard_normal(6), orthogonal=False),
+                build_orthogonal(6, 3, seed=seed),
+            )
+        )
+        spec = ScoreSpec(temperature=temperature)
+        rec = CalibrationRecord(
+            q_alpha=q, alpha=0.1, n_cal=100, score_spec=spec, lipschitz_product=1.0
+        )
+        x = rng.standard_normal((40, 5))
+        y = rng.integers(0, 3, size=40)
+        cfg = AttackConfig(epsilon=eps, steps=15, restarts=2, seed=seed, objective=objective)
+        logits = forward(model, x)
+        covered = vanilla_membership(rec, logits)[np.arange(40), y]
+        settled = ~undecided_rows(model, rec, logits, y, cfg)
+        attacked = pgd_attack_batch(model, x, y, cfg)
+        after = vanilla_membership(rec, forward(model, attacked))[np.arange(40), y]
+        np.testing.assert_array_equal(after[settled], covered[settled])

@@ -82,6 +82,28 @@ class TestConfig:
         assert "alpha" in stderr
 
 
+class TestMissingFiles:
+    def test_missing_data_errors_cleanly(self, workspace, capsys):
+        code, _, stderr = run(
+            ["predict", "--data", str(workspace["tmp"] / "absent.csv"),
+             "--model", str(workspace["model"]),
+             "--record", str(workspace["record"]),
+             "--out", str(workspace["tmp"] / "sets.csv")], capsys
+        )
+        assert code == 1
+        assert "absent.csv" in json.loads(stderr)["error"]
+
+    def test_missing_record_errors_cleanly(self, workspace, capsys):
+        code, _, stderr = run(
+            ["predict", "--data", str(workspace["eval"]),
+             "--model", str(workspace["model"]),
+             "--record", str(workspace["tmp"] / "absent.json"),
+             "--out", str(workspace["tmp"] / "sets.csv")], capsys
+        )
+        assert code == 1
+        assert "absent.json" in json.loads(stderr)["error"]
+
+
 class TestPipeline:
     def test_train_reports_accuracy(self, workspace, capsys):
         code, stdout, _ = run(
