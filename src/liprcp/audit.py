@@ -7,6 +7,12 @@ thresholds yields the exact empirical coverage curves (step functions of
 epsilon). Inverting binomial tails at each achievable count then gives a
 band that brackets the population coverage-under-attack simultaneously for
 every epsilon with probability 1 - delta.
+
+The inversion is the Clopper-Pearson closed form (Clopper & Pearson, 1934):
+the largest p with P(Bin(m, p) <= k) >= delta is the beta quantile
+betaincinv(k + 1, m - k, 1 - delta), computed for all counts in one array
+call. Every value is checked against the bracket
+F(p - 1e-8) > delta > F(p + 1e-8) before it is returned.
 """
 
 from __future__ import annotations
@@ -14,10 +20,9 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 from .conformal import CalibrationRecord
 from .scores import (
@@ -35,8 +40,12 @@ MAIN_TEXT_RAW = "main_text_raw"
 
 NEVER = -np.inf  # exit threshold for samples that are never set members
 
-_BISECT_TOL = 1e-10
-_BISECT_MAX_ITERS = 100
+# half-width of the bracket every inverted tail value must straddle
+_BRACKET = 1e-8
+
+
+class BandInversionError(ValueError):
+    """A Clopper-Pearson value failed its bracket check."""
 
 
 @dataclass(frozen=True)
@@ -169,50 +178,56 @@ def coverage_curves(crit: CriticalEpsilons) -> tuple[StepCurve, StepCurve]:
     return covmax, covmin
 
 
-def binomial_cdf(m: int, p: float, k: int) -> float:
-    """CDF of Binomial(m, p) at k, via the regularized incomplete beta."""
-    if not (0 <= k <= m):
-        raise ValueError(f"k={k} outside [0, {m}]")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p={p} outside [0, 1]")
-    if k == m:
-        return 1.0
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
-    return float(betainc(m - k, k + 1, 1.0 - p))
+def binomial_cdf(m: int, p, k):
+    """CDF of Binomial(m, p) at k, via the regularized incomplete beta.
+
+    ``p`` and ``k`` broadcast against each other; scalar arguments give a
+    float.
+    """
+    p = np.asarray(p, dtype=float)
+    k = np.asarray(k)
+    if np.any((k < 0) | (k > m)):
+        raise ValueError(f"k outside [0, {m}]")
+    if np.any(~((p >= 0.0) & (p <= 1.0))):
+        raise ValueError("p outside [0, 1]")
+    full = k == m
+    # betainc(0, ., .) is undefined; F(m) = 1 for every p
+    out = np.where(full, 1.0, betainc(np.where(full, 1, m - k), k + 1, 1.0 - p))
+    return out if out.ndim else float(out)
 
 
-def covmax_plus(m: int, count: int, delta: float) -> float:
-    """max{p : F_{m,p}(count) >= delta}, by bisection on the monotone tail."""
-    if not (0 <= count <= m):
-        raise ValueError(f"count={count} outside [0, {m}]")
+def covmax_plus(m: int, count, delta: float):
+    """max{p : F_{m,p}(count) >= delta}, the Clopper-Pearson upper bound.
+
+    Closed form: the root of F_{m,p}(count) = delta is the beta quantile
+    betaincinv(count + 1, m - count, 1 - delta) (Clopper & Pearson, 1934);
+    count == m gives exactly 1.0. An array of counts gives an array, a
+    scalar count a float. Every value with count < m must satisfy
+    F(p - 1e-8) > delta > F(p + 1e-8), checked with two array calls of
+    ``binomial_cdf``; a miss raises ``BandInversionError``.
+    """
+    count = np.asarray(count)
+    if np.any((count < 0) | (count > m)):
+        raise ValueError(f"count outside [0, {m}]")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta={delta} outside (0, 1)")
-    if count == m:
-        return 1.0
-    if count == 0:
-        # F_{m,p}(0) = (1 - p)^m, so the root is closed-form
-        return 1.0 - delta ** (1.0 / m)
-    return _covmax_plus_bisect(m, count, delta)
+    full = count == m
+    b = np.where(full, 1, m - count)  # betaincinv(., 0, .) is undefined
+    p = np.where(full, 1.0, betaincinv(count + 1, b, 1.0 - delta))
+    k, p_k = count[~full], p[~full]
+    below = binomial_cdf(m, np.clip(p_k - _BRACKET, 0.0, 1.0), k)
+    above = binomial_cdf(m, np.clip(p_k + _BRACKET, 0.0, 1.0), k)
+    bad = ~((below > delta) & (above < delta))
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise BandInversionError(
+            f"Clopper-Pearson bound {p_k[j]!r} for m={m}, count={int(k[j])}, "
+            f"delta={delta!r} fails its +-{_BRACKET} bracket check"
+        )
+    return p if p.ndim else float(p)
 
 
-@lru_cache(maxsize=1 << 16)
-def _covmax_plus_bisect(m: int, count: int, delta: float) -> float:
-    lo, hi = 0.0, 1.0  # F(lo) = 1 >= delta, F(hi) = 0 < delta
-    for _ in range(_BISECT_MAX_ITERS):
-        mid = 0.5 * (lo + hi)
-        if binomial_cdf(m, mid, count) >= delta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL:
-            break
-    return lo
-
-
-def covmin_minus(m: int, miss_count: int, delta: float) -> float:
+def covmin_minus(m: int, miss_count, delta: float):
     """Lower confidence bound: 1 - covmax_plus applied to the miss count."""
     return 1.0 - covmax_plus(m, miss_count, delta)
 
@@ -261,22 +276,11 @@ def certified_band(
     covmax, covmin = coverage_curves(crit)
     slack = 1.0 / m if correction_mode == APPENDIX_CORRECTED else 0.0
 
-    # one inversion per achievable count; curves then share the empirical
-    # breakpoints
-    upper_table = {}
-    upper_vals = np.empty_like(covmax.values)
-    for j, frac in enumerate(covmax.values):
-        count = round(frac * m)
-        if count not in upper_table:
-            upper_table[count] = covmax_plus(m, count, delta_prime)
-        upper_vals[j] = min(1.0, upper_table[count] + slack)
-    lower_table = {}
-    lower_vals = np.empty_like(covmin.values)
-    for j, frac in enumerate(covmin.values):
-        miss = round((1.0 - frac) * m)
-        if miss not in lower_table:
-            lower_table[miss] = covmin_minus(m, miss, delta_prime)
-        lower_vals[j] = max(0.0, lower_table[miss] - slack)
+    # one array inversion per curve, on the counts behind its steps
+    counts = np.rint(covmax.values * m).astype(int)
+    upper_vals = np.minimum(1.0, covmax_plus(m, counts, delta_prime) + slack)
+    misses = np.rint((1.0 - covmin.values) * m).astype(int)
+    lower_vals = np.maximum(0.0, covmin_minus(m, misses, delta_prime) - slack)
 
     return CertifiedBand(
         m=m,

@@ -102,17 +102,24 @@ def _write(path: Path, text: str) -> None:
 
 
 def _logits_and_labels(data_path: str, model_path: str | None):
-    """Load a dataset, running the model forward when rows are raw inputs."""
+    """Load a dataset, running the model forward when rows are raw inputs.
+
+    Returns logits, labels, ids and the model's Lipschitz product (1.0
+    without a model).
+    """
     try:
         ds = datasets.load_logits_csv(data_path)
     except datasets.CsvFormatError:
         ds = datasets.load_inputs_csv(data_path)
+    model = None
+    if model_path is not None:
+        model = lipnet.from_json(Path(model_path).read_text())
+    ln = 1.0 if model is None else model.lipschitz_product
     if ds.kind == datasets.PRECOMPUTED_LOGITS:
-        return ds.data, ds.labels, ds.ids
-    if model_path is None:
+        return ds.data, ds.labels, ds.ids, ln
+    if model is None:
         raise ConfigError("raw-input data needs --model to produce logits")
-    model = lipnet.from_json(Path(model_path).read_text())
-    return lipnet.forward(model, ds.data), ds.labels, ds.ids
+    return lipnet.forward(model, ds.data), ds.labels, ds.ids, ln
 
 
 def _sets_csv(ids, membership) -> str:
@@ -169,14 +176,10 @@ def cmd_train(args, cfg) -> dict:
 
 def cmd_calibrate(args, cfg) -> dict:
     spec = _score_spec(args, cfg)
-    logits, labels, _ = _logits_and_labels(args.data, args.model)
+    logits, labels, _, ln = _logits_and_labels(args.data, args.model)
     cal_scores = scores.score(spec, logits, labels)
     alpha = _opt(args, cfg, "alpha", 0.1)
     epsilon = _opt(args, cfg, "epsilon", 0.0)
-    ln = 1.0
-    if args.model is not None:
-        model = lipnet.from_json(Path(args.model).read_text())
-        ln = model.lipschitz_product
     try:
         if epsilon > 0:
             record = robust.robust_calibrate(cal_scores, alpha, epsilon, spec, ln)
@@ -194,7 +197,7 @@ def _load_record(path: str) -> conformal.CalibrationRecord:
 
 def cmd_predict(args, cfg) -> dict:
     record = _load_record(args.record)
-    logits, labels, ids = _logits_and_labels(args.data, args.model)
+    logits, labels, ids, _ = _logits_and_labels(args.data, args.model)
     membership = conformal.vanilla_membership(record, logits)
     _write(Path(args.out), _sets_csv(ids, membership))
     return {
@@ -206,7 +209,7 @@ def cmd_predict(args, cfg) -> dict:
 
 def cmd_robust_predict(args, cfg) -> dict:
     record = _load_record(args.record)
-    logits, labels, ids = _logits_and_labels(args.data, args.model)
+    logits, labels, ids, _ = _logits_and_labels(args.data, args.model)
     epsilon = _opt(args, cfg, "epsilon", 0.0)
     method = _opt(args, cfg, "bound_method", scores.TIGHT_MONOTONE)
     membership = robust.conservative_membership(record, logits, epsilon, method)
@@ -228,34 +231,21 @@ def _band_rows(band: audit.CertifiedBand, covmax, covmin) -> str:
     grid = np.unique(
         np.concatenate([[0.0], covmax.breakpoints, covmin.breakpoints])
     )
+    columns = [grid, band.lower(grid), covmin(grid), covmax(grid), band.upper(grid)]
     lines = ["epsilon,covmin_minus,covmin_emp,covmax_emp,covmax_plus"]
-    for eps in grid:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(eps),
-                    _fmt(band.lower(eps)),
-                    _fmt(covmin(eps)),
-                    _fmt(covmax(eps)),
-                    _fmt(band.upper(eps)),
-                ]
-            )
-        )
+    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"
 
 
 def cmd_audit(args, cfg) -> dict:
     record = _load_record(args.record)
-    logits, labels, _ = _logits_and_labels(args.data, args.model)
+    logits, labels, _, _ = _logits_and_labels(args.data, args.model)
     eval_scores = scores.score(record.score_spec, logits, labels)
     method = _opt(args, cfg, "bound_method", scores.TIGHT_MONOTONE)
     delta = _opt(args, cfg, "delta", 0.1)
     mode = _opt(args, cfg, "correction_mode", audit.APPENDIX_CORRECTED)
     crit = audit.critical_epsilons(record, eval_scores, method)
-    try:
-        band = audit.certified_band(crit, delta, mode)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    band = audit.certified_band(crit, delta, mode)
     covmax, covmin = audit.coverage_curves(crit)
     if args.check:
         grid = np.concatenate([[0.0], covmax.breakpoints, covmin.breakpoints])
@@ -280,7 +270,8 @@ def cmd_attack_eval(args, cfg) -> dict:
     record = _load_record(args.record)
     model = lipnet.from_json(Path(args.model).read_text())
     test = datasets.load_inputs_csv(args.data)
-    eval_ds = datasets.load_inputs_csv(args.eval_data)
+    shared = Path(args.eval_data).resolve() == Path(args.data).resolve()
+    eval_ds = test if shared else datasets.load_inputs_csv(args.eval_data)
     eval_logits = lipnet.forward(model, eval_ds.data)
     eval_scores = scores.score(record.score_spec, eval_logits, eval_ds.labels)
     method = _opt(args, cfg, "bound_method", scores.TIGHT_MONOTONE)
@@ -295,9 +286,8 @@ def cmd_attack_eval(args, cfg) -> dict:
         grid = [_opt(args, cfg, "epsilon", 0.25)]
     seed = _opt(args, cfg, "seed", 0)
     # mean size of the clean-input sets; the same on every grid row
-    clean_size = conformal.vanilla_membership(
-        record, lipnet.forward(model, test.data)
-    ).sum(axis=1).mean()
+    test_logits = eval_logits if shared else lipnet.forward(model, test.data)
+    clean_size = conformal.vanilla_membership(record, test_logits).sum(axis=1).mean()
     lines = ["epsilon,coverage_under_attack,mean_set_size,band_lower,band_upper"]
     escapes = 0
     for eps in grid:
@@ -333,11 +323,8 @@ def cmd_attack_eval(args, cfg) -> dict:
 
 def cmd_poison_certify(args, cfg) -> dict:
     spec = _score_spec(args, cfg)
-    logits, labels, _ = _logits_and_labels(args.data, args.model)
+    logits, labels, _, ln = _logits_and_labels(args.data, args.model)
     cal_scores = scores.score(spec, logits, labels)
-    ln = 1.0
-    if args.model is not None:
-        ln = lipnet.from_json(Path(args.model).read_text()).lipschitz_product
     budget = poison.PoisonBudget(
         k=_opt(args, cfg, "k", 0),
         epsilon=_opt(args, cfg, "epsilon", 0.0),

@@ -247,3 +247,91 @@ class TestCertifiedBand:
         assert doc["m"] == 50
         assert doc["correction_mode"] == APPENDIX_CORRECTED
         assert doc["alpha"] == 0.1
+
+
+class TestClopperPearsonArrays:
+    def test_array_calls_match_scalar_calls(self):
+        rng = np.random.default_rng(26)
+        for m in (1, 2, 7, 50, 1000):
+            counts = np.unique(np.concatenate([[0, m], rng.integers(0, m + 1, 40)]))
+            delta = 0.1 / max(2 * m - 2, 1)
+            upper = covmax_plus(m, counts, delta)
+            lower = covmin_minus(m, counts, delta)
+            assert isinstance(upper, np.ndarray) and upper.shape == counts.shape
+            np.testing.assert_array_equal(
+                upper, [covmax_plus(m, int(k), delta) for k in counts]
+            )
+            np.testing.assert_array_equal(
+                lower, [covmin_minus(m, int(k), delta) for k in counts]
+            )
+        assert isinstance(covmax_plus(30, 4, 0.1), float)
+        assert isinstance(covmin_minus(30, 4, 0.1), float)
+        cdf = binomial_cdf(20, np.array([0.0, 0.3, 1.0]), np.array([5, 20, 19]))
+        np.testing.assert_array_equal(
+            cdf, [binomial_cdf(20, 0.0, 5), binomial_cdf(20, 0.3, 20), 0.0]
+        )
+        assert isinstance(binomial_cdf(20, 0.3, 7), float)
+
+    @pytest.mark.parametrize("m", [2, 3, 1000, 20_000, 50_000])
+    @pytest.mark.parametrize("delta", [0.001, 0.1, 0.5])
+    def test_bracket_at_large_m_and_extreme_counts(self, m, delta):
+        # the band's risk split delta / (2m - 2) at the counts criterion 5
+        # rarely draws; F(0) = (1 - p)^m and F(m - 1) = 1 - p^m are exact
+        mp = pytest.importorskip("mpmath")
+        mp.mp.prec = 200
+        d = delta / (2 * m - 2)
+        h = mp.mpf(1e-8)
+        tails = {0: lambda p: (1 - p) ** m, m - 1: lambda p: 1 - p**m}
+        p_hat = covmax_plus(m, np.array([0, m - 1, m]), d)
+        assert p_hat[2] == 1.0
+        for p, (count, cdf) in zip(p_hat[:2], tails.items()):
+            p = mp.mpf(p)
+            assert cdf(max(p - h, mp.mpf(0))) > d, count
+            assert cdf(min(p + h, mp.mpf(1))) < d, count
+
+    def test_bracket_guard_rejects_a_wrong_inverse(self, monkeypatch, tmp_path, capsys):
+        import json
+
+        from liprcp import audit, cli, datasets
+
+        exact = audit.betaincinv
+        monkeypatch.setattr(audit, "betaincinv", lambda a, b, y: exact(a, b, y) + 1e-6)
+        rec = make_record(q=0.6)
+        crit = critical_epsilons(rec, np.random.default_rng(27).uniform(size=40))
+        with pytest.raises(audit.BandInversionError):
+            certified_band(crit, 0.1)
+
+        rng = np.random.default_rng(28)
+        logits = datasets.LabeledDataset(
+            data=rng.standard_normal((40, 3)),
+            labels=rng.integers(0, 3, size=40),
+            ids=np.arange(40),
+            kind=datasets.PRECOMPUTED_LOGITS,
+        )
+        datasets.save_csv(logits, tmp_path / "logits.csv")
+        (tmp_path / "record.json").write_text(rec.to_json())
+        code = cli.main(
+            ["audit", "--data", str(tmp_path / "logits.csv"),
+             "--record", str(tmp_path / "record.json"),
+             "--out", str(tmp_path / "band.csv")]
+        )
+        assert code == 1
+        assert "bracket" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "band.csv").exists()
+
+    @pytest.mark.parametrize("m", [2, 50, 3000])
+    def test_band_rows_match_per_epsilon_loop(self, m):
+        from liprcp import cli
+
+        rng = np.random.default_rng(29)
+        # rounded scores give tied thresholds and repeated counts
+        s = np.round(rng.uniform(size=m), 2)
+        crit = critical_epsilons(make_record(q=0.6), s, TIGHT_MONOTONE)
+        band = certified_band(crit, 0.1)
+        covmax, covmin = coverage_curves(crit)
+        grid = np.unique(np.concatenate([[0.0], covmax.breakpoints, covmin.breakpoints]))
+        lines = ["epsilon,covmin_minus,covmin_emp,covmax_emp,covmax_plus"]
+        for eps in grid:
+            cells = [eps, band.lower(eps), covmin(eps), covmax(eps), band.upper(eps)]
+            lines.append(",".join(repr(float(v)) for v in cells))
+        assert cli._band_rows(band, covmax, covmin) == "\n".join(lines) + "\n"

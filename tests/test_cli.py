@@ -104,6 +104,20 @@ class TestMissingFiles:
         assert "absent.json" in json.loads(stderr)["error"]
 
 
+class TestTooFewRows:
+    def test_audit_one_row_errors_as_json(self, workspace, capsys):
+        one = workspace["tmp"] / "one.csv"
+        one.write_text("\n".join(workspace["eval"].read_text().splitlines()[:2]) + "\n")
+        code, stdout, stderr = run(
+            ["audit", "--data", str(one), "--model", str(workspace["model"]),
+             "--record", str(workspace["record"]),
+             "--out", str(workspace["tmp"] / "band.csv")], capsys
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "m >= 2" in json.loads(stderr)["error"]
+
+
 class TestPipeline:
     def test_train_reports_accuracy(self, workspace, capsys):
         code, stdout, _ = run(
@@ -174,6 +188,61 @@ class TestPipeline:
         doc = last_json(stdout)
         assert doc["grid_points"] == 3
         assert doc["band_escapes"] == 0
+
+    def test_attack_eval_columns_follow_their_files(self, workspace, capsys):
+        # the band comes from --eval-data and mean_set_size from --data,
+        # whether the two flags name one file (loaded once) or two
+        tmp = workspace["tmp"]
+        model = ["--model", str(workspace["model"]), "--record", str(workspace["record"])]
+        assert cli.main(["audit", "--data", str(workspace["eval"]), *model,
+                         "--out", str(tmp / "band.csv"), "--delta", "0.1"]) == 0
+        band_at_zero = (tmp / "band.csv").read_text().splitlines()[1].split(",")
+        for data in (workspace["data"], workspace["eval"]):
+            assert cli.main(["predict", "--data", str(data), *model,
+                             "--out", str(tmp / "sets.csv")]) == 0
+            size = last_json(capsys.readouterr().out)["mean_set_size"]
+            code, _, _ = run(
+                ["attack-eval", "--data", str(data),
+                 "--eval-data", str(workspace["eval"]), *model,
+                 "--out", str(tmp / "attack.csv"), "--epsilon-grid", "0.0",
+                 "--attack-steps", "1"], capsys
+            )
+            assert code == 0
+            row = (tmp / "attack.csv").read_text().splitlines()[1].split(",")
+            assert float(row[2]) == size
+            assert [row[3], row[4]] == [band_at_zero[1], band_at_zero[4]]
+
+    @pytest.mark.parametrize("command", ["calibrate", "poison-certify"])
+    def test_model_parsed_once(self, workspace, capsys, monkeypatch, command):
+        # a scaled, non-orthogonal first layer makes the product differ from 1
+        doc = json.loads(workspace["model"].read_text())
+        doc["layers"][0]["weight"] = (2 * np.array(doc["layers"][0]["weight"])).tolist()
+        doc["layers"][0]["orthogonal"] = False
+        scaled = workspace["tmp"] / "scaled.json"
+        scaled.write_text(json.dumps(doc))
+        ln = cli.lipnet.from_json(scaled.read_text()).lipschitz_product
+        assert ln > 1.5
+        parses = []
+        parse = cli.lipnet.from_json
+        monkeypatch.setattr(
+            cli.lipnet, "from_json", lambda text: parses.append(1) or parse(text)
+        )
+        out = workspace["tmp"] / "out.json"
+        code, _, _ = run(
+            [command, "--data", str(workspace["eval"]), "--model", str(scaled),
+             "--out", str(out), "--epsilon", "0.1"], capsys
+        )
+        assert code == 0
+        assert len(parses) == 1
+        written = json.loads(out.read_text())
+        if command == "calibrate":
+            assert written["lipschitz_product"] == ln
+        else:
+            budget = cli.poison.PoisonBudget(
+                k=0, epsilon=0.1, lipschitz_product=ln,
+                score_lipschitz=cli.scores.ScoreSpec().score_lipschitz,
+            )
+            assert written["delta_score"] == budget.delta_score
 
     def test_poison_certify_json(self, workspace, capsys):
         out = workspace["tmp"] / "cert.json"
