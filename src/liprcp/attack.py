@@ -123,14 +123,6 @@ def pgd_attack_batch(
     return out
 
 
-def pgd_attack(
-    model: LipschitzClassifier, x: np.ndarray, y: int, cfg: AttackConfig
-) -> np.ndarray:
-    """Attack a single input; returns x_tilde with ||x_tilde - x||_2 <= eps."""
-    x = np.asarray(x, dtype=float)
-    return pgd_attack_batch(model, x[None, :], np.array([y]), cfg)[0]
-
-
 def undecided_rows(
     model: LipschitzClassifier,
     cal: CalibrationRecord,
@@ -143,9 +135,9 @@ def undecided_rows(
     ``logits`` are the clean logits. Every other row keeps its clean-point
     coverage anywhere in the epsilon-ball (see `coverage_under_attack`).
     The bounds use the attacked model's own Lipschitz product, applied at
-    epsilon * (1 + 1e-6) so that a power-iteration estimate slightly below
-    the true spectral norm, or forward-pass rounding, cannot settle a row
-    the attack could flip.
+    epsilon * (1 + 1e-6) so that rounding cannot settle a row the attack
+    could flip: in the forward pass, and in layers flagged orthogonal, which
+    count as exactly 1 though their norm may exceed it by ~1e-8.
     """
     labels = np.asarray(labels)
     idx = np.arange(labels.size)
@@ -165,8 +157,8 @@ def coverage_under_attack(
     test_inputs: np.ndarray,
     test_labels: np.ndarray,
     cfg: AttackConfig,
-) -> float:
-    """Plug-in estimate of the coverage of vanilla sets at attacked points.
+) -> tuple[float, float]:
+    """Coverage and mean size of vanilla sets at attacked points.
 
     One clean forward pass splits the rows in three with the tight score
     bounds. For the maximize objective:
@@ -181,11 +173,15 @@ def coverage_under_attack(
     stay covered, and rows whose label is outside the conservative set
     (lower score bound > q_alpha) stay uncovered. Only undecided rows run
     PGD; the others are evaluated at their clean point, so the coverage
-    equals that of attacking every row with `pgd_attack_batch`.
+    equals that of attacking every row with `pgd_attack_batch`. The mean
+    set size is that of the sets at the inputs the attack returns.
     """
     x = np.atleast_2d(test_inputs)
     labels = np.atleast_1d(test_labels)
     undecided = undecided_rows(model, cal, forward(model, x), labels, cfg)
     attacked = pgd_attack_batch(model, x, labels, cfg, mask=undecided)
     membership = vanilla_membership(cal, forward(model, attacked))
-    return coverage_from_membership(membership, labels)
+    return (
+        coverage_from_membership(membership, labels),
+        float(membership.sum(axis=1).mean()),
+    )

@@ -56,18 +56,6 @@ class CalibrationRecord:
         )
 
 
-@dataclass(frozen=True)
-class PredictionSet:
-    members: frozenset[int]
-    sample_id: object = None
-
-    def __contains__(self, label: int) -> bool:
-        return int(label) in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def conformal_rank(n: int, alpha: float) -> int:
     """1-based calibration rank ceil((n + 1) (1 - alpha))."""
     if not (alpha < 1.0):
@@ -111,23 +99,7 @@ def vanilla_membership(cal: CalibrationRecord, logits: np.ndarray) -> np.ndarray
     return score_all(cal.score_spec, np.atleast_2d(logits)) <= cal.q_alpha
 
 
-def prediction_set(cal: CalibrationRecord, logits, sample_id=None) -> PredictionSet:
-    """Vanilla prediction set {y : s(x, y) <= q_alpha} for one sample."""
-    member = vanilla_membership(cal, logits)[0]
-    return PredictionSet(frozenset(np.flatnonzero(member).tolist()), sample_id)
-
-
-def empirical_coverage(sets, labels) -> float:
-    """Fraction of samples whose true label is in the prediction set."""
-    if len(sets) != len(labels):
-        raise ValueError(
-            f"{len(sets)} sets vs {len(labels)} labels: lengths must match"
-        )
-    hits = sum(1 for ps, y in zip(sets, labels) if int(y) in ps)
-    return hits / len(sets)
-
-
 def coverage_from_membership(membership: np.ndarray, labels) -> float:
-    """Coverage straight from a membership matrix (fast path)."""
+    """Fraction of rows whose true label is in their set."""
     labels = np.asarray(labels)
     return float(np.mean(membership[np.arange(labels.size), labels]))

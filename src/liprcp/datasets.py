@@ -1,4 +1,4 @@
-"""Synthetic data generation, seeded splitting, and logits CSV ingestion."""
+"""Synthetic data generation and lossless CSV I/O for inputs and logits."""
 
 from __future__ import annotations
 
@@ -58,21 +58,6 @@ class LabeledDataset:
         )
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    cal_fraction: float
-    eval_fraction: float
-    test_fraction: float
-    seed: int = 0
-
-    def __post_init__(self):
-        fracs = (self.cal_fraction, self.eval_fraction, self.test_fraction)
-        if any(f < 0 for f in fracs):
-            raise ValueError("fractions must be nonnegative")
-        if sum(fracs) > 1.0 + 1e-12:
-            raise ValueError(f"fractions sum to {sum(fracs)} > 1")
-
-
 def make_gaussian_mixture(
     n: int, d: int, c: int, separation: float, seed: int
 ) -> LabeledDataset:
@@ -97,21 +82,6 @@ def make_gaussian_mixture(
     )
 
 
-def split(
-    dataset: LabeledDataset, plan: SplitPlan
-) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Seeded permutation, then contiguous cal / eval / test slices."""
-    n = dataset.n
-    perm = substream(plan.seed, "split-permutation").permutation(n)
-    n_cal = int(plan.cal_fraction * n)
-    n_eval = int(plan.eval_fraction * n)
-    n_test = int(plan.test_fraction * n)
-    cal = dataset.take(perm[:n_cal])
-    eval_ = dataset.take(perm[n_cal : n_cal + n_eval])
-    test = dataset.take(perm[n_cal + n_eval : n_cal + n_eval + n_test])
-    return cal, eval_, test
-
-
 def save_csv(dataset: LabeledDataset, path) -> None:
     """Write id,label,logit_0..logit_{c-1} rows; floats use repr (lossless)."""
     width = dataset.data.shape[1]
@@ -126,15 +96,20 @@ def save_csv(dataset: LabeledDataset, path) -> None:
 
 def _load_csv(path, prefix: str, kind: str) -> LabeledDataset:
     with open(path, encoding="utf-8") as fh:
+        # the header is checked before the body is read, so probing a file
+        # of the other kind costs one line; the whole text is then read in
+        # one piece, and its splitlines numbers the lines
+        first = fh.readline().splitlines()
+        if not first:
+            raise CsvFormatError(f"{path}: empty file")
+        header = first[0].split(",")
+        expected = ["id", "label"] + [f"{prefix}_{j}" for j in range(len(header) - 2)]
+        if header != expected:
+            raise CsvFormatError(
+                f"{path}:1: malformed header {first[0]!r}, expected {','.join(expected)!r}"
+            )
+        fh.seek(0)
         lines = fh.read().splitlines()
-    if not lines:
-        raise CsvFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
-    expected = ["id", "label"] + [f"{prefix}_{j}" for j in range(len(header) - 2)]
-    if header != expected:
-        raise CsvFormatError(
-            f"{path}:1: malformed header {lines[0]!r}, expected {','.join(expected)!r}"
-        )
     width = len(header) - 2
     ids, labels, rows = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):

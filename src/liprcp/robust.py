@@ -11,20 +11,10 @@ equivalence checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .conformal import CalibrationRecord, PredictionSet, conformal_quantile
+from .conformal import CalibrationRecord, conformal_quantile
 from .scores import TIGHT_MONOTONE, ScoreSpec, lower_bound_all, upper_bound_all
-
-
-@dataclass(frozen=True)
-class RobustSetPair:
-    conservative: PredictionSet
-    restrictive: PredictionSet
-    epsilon: float
-    method: str
 
 
 def conservative_membership(
@@ -51,43 +41,6 @@ def restrictive_membership(
         cal.score_spec, np.atleast_2d(logits), epsilon, cal.lipschitz_product, method
     )
     return upper <= cal.q_alpha
-
-
-def conservative_set(
-    cal: CalibrationRecord,
-    logits,
-    epsilon: float,
-    method: str = TIGHT_MONOTONE,
-    sample_id=None,
-) -> PredictionSet:
-    member = conservative_membership(cal, logits, epsilon, method)[0]
-    return PredictionSet(frozenset(np.flatnonzero(member).tolist()), sample_id)
-
-
-def restrictive_set(
-    cal: CalibrationRecord,
-    logits,
-    epsilon: float,
-    method: str = TIGHT_MONOTONE,
-    sample_id=None,
-) -> PredictionSet:
-    member = restrictive_membership(cal, logits, epsilon, method)[0]
-    return PredictionSet(frozenset(np.flatnonzero(member).tolist()), sample_id)
-
-
-def robust_set_pair(
-    cal: CalibrationRecord,
-    logits,
-    epsilon: float,
-    method: str = TIGHT_MONOTONE,
-    sample_id=None,
-) -> RobustSetPair:
-    return RobustSetPair(
-        conservative=conservative_set(cal, logits, epsilon, method, sample_id),
-        restrictive=restrictive_set(cal, logits, epsilon, method, sample_id),
-        epsilon=epsilon,
-        method=method,
-    )
 
 
 def robust_calibrate(

@@ -75,15 +75,6 @@ class ScoreSpec:
         )
 
 
-@dataclass(frozen=True)
-class ScoreBound:
-    lower: float
-    upper: float
-    method: str
-    epsilon: float
-    lipschitz_product: float
-
-
 def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=float)))
 
@@ -186,44 +177,6 @@ def _check_args(spec: ScoreSpec, epsilon: float, method: str) -> None:
             "global Lipschitz bound is only defined for the sigmoid score; "
             "use the tight_monotone bound for softmax"
         )
-
-
-def bound_global(
-    spec: ScoreSpec,
-    logits: np.ndarray,
-    y: int,
-    epsilon: float,
-    lipschitz_product: float,
-) -> ScoreBound:
-    """Global Lipschitz bound: score -+ L_n * L_s * epsilon, clipped to [0,1]."""
-    lower = lower_bound_all(spec, logits, epsilon, lipschitz_product, GLOBAL_LIPSCHITZ)
-    upper = upper_bound_all(spec, logits, epsilon, lipschitz_product, GLOBAL_LIPSCHITZ)
-    return ScoreBound(
-        lower=float(lower[y]),
-        upper=float(upper[y]),
-        method=GLOBAL_LIPSCHITZ,
-        epsilon=epsilon,
-        lipschitz_product=lipschitz_product,
-    )
-
-
-def bound_tight(
-    spec: ScoreSpec,
-    logits: np.ndarray,
-    y: int,
-    epsilon: float,
-    lipschitz_product: float,
-) -> ScoreBound:
-    """Monotonicity-based corner bound; dominates the global bound."""
-    lower = lower_bound_all(spec, logits, epsilon, lipschitz_product, TIGHT_MONOTONE)
-    upper = upper_bound_all(spec, logits, epsilon, lipschitz_product, TIGHT_MONOTONE)
-    return ScoreBound(
-        lower=float(lower[y]),
-        upper=float(upper[y]),
-        method=TIGHT_MONOTONE,
-        epsilon=epsilon,
-        lipschitz_product=lipschitz_product,
-    )
 
 
 def sigmoid_inverse_threshold(spec: ScoreSpec, q: float) -> float:

@@ -8,7 +8,6 @@ from liprcp.attack import (
     MINIMIZE_TRUE_SCORE,
     AttackConfig,
     coverage_under_attack,
-    pgd_attack,
     pgd_attack_batch,
     undecided_rows,
 )
@@ -83,8 +82,8 @@ class TestLinearOptimality:
             cfg = AttackConfig(
                 epsilon=eps, steps=60, restarts=2, seed=5, objective=objective
             )
-            xa = pgd_attack(model, x, 1, cfg)
-            achieved = forward(model, xa[None, :])[0, 1]
+            xa = pgd_attack_batch(model, x[None, :], np.array([1]), cfg)
+            achieved = forward(model, xa)[0, 1]
             target = W[1] @ x + b[1] + sign * eps * np.linalg.norm(W[1])
             assert achieved == pytest.approx(target, abs=1e-9)
 
@@ -157,12 +156,36 @@ class TestCoverageUnderAttack:
         y = rng.integers(0, 3, size=100)
         prev = None
         for eps in (0.0, 0.2, 0.5, 1.0):
-            cov = coverage_under_attack(
+            cov, _ = coverage_under_attack(
                 model, rec, x, y, AttackConfig(epsilon=eps, steps=20, seed=16)
             )
             if prev is not None:
                 assert cov <= prev + 1e-12
             prev = cov
+
+    def test_set_size_is_measured_at_the_attacked_inputs(self):
+        rng = np.random.default_rng(50)
+        model = LipschitzClassifier(
+            layers=(build_orthogonal(4, 4, seed=19), build_orthogonal(4, 3, seed=20))
+        )
+        rec = CalibrationRecord(
+            q_alpha=0.7, alpha=0.1, n_cal=100, score_spec=ScoreSpec(), lipschitz_product=1.0
+        )
+        x = rng.standard_normal((200, 4))
+        y = rng.integers(0, 3, size=200)
+        sizes = []
+        for eps in (0.0, 0.5, 1.5):
+            cfg = AttackConfig(epsilon=eps, steps=10, seed=21)
+            cov, size = coverage_under_attack(model, rec, x, y, cfg)
+            mask = undecided_rows(model, rec, forward(model, x), y, cfg)
+            member = vanilla_membership(
+                rec, forward(model, pgd_attack_batch(model, x, y, cfg, mask=mask))
+            )
+            assert cov == coverage_from_membership(member, y)
+            assert size == member.sum(axis=1).mean()
+            sizes.append(size)
+        # the attack moves the sets, so the size is not the clean one repeated
+        assert len(set(sizes)) == 3
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +218,7 @@ class TestPruning:
                 cfg = AttackConfig(
                     epsilon=eps, steps=10, restarts=2, seed=run, objective=objective
                 )
-                pruned = coverage_under_attack(trained_model, rec, ev.data, ev.labels, cfg)
+                pruned, _ = coverage_under_attack(trained_model, rec, ev.data, ev.labels, cfg)
                 full = unpruned_coverage(trained_model, rec, ev.data, ev.labels, cfg)
                 assert pruned * ev.n == full * ev.n
                 logits = forward(trained_model, ev.data)
@@ -256,7 +279,7 @@ class TestPruning:
         self, seed, weight_scale, temperature, q, eps, objective
     ):
         # the first layer is not orthogonal, so the Lipschitz product comes
-        # from power iteration
+        # from its spectral norm; the 1e-6 certification margin covers rounding
         rng = np.random.default_rng(seed)
         w = weight_scale * rng.standard_normal((6, 5)) / np.sqrt(5)
         model = LipschitzClassifier(

@@ -191,12 +191,15 @@ class TestPipeline:
 
     def test_attack_eval_columns_follow_their_files(self, workspace, capsys):
         # the band comes from --eval-data and mean_set_size from --data,
-        # whether the two flags name one file (loaded once) or two
+        # whether the two flags name one file (loaded once) or two; at
+        # epsilon > 0 the size is that of the sets at the attacked inputs
         tmp = workspace["tmp"]
         model = ["--model", str(workspace["model"]), "--record", str(workspace["record"])]
         assert cli.main(["audit", "--data", str(workspace["eval"]), *model,
                          "--out", str(tmp / "band.csv"), "--delta", "0.1"]) == 0
         band_at_zero = (tmp / "band.csv").read_text().splitlines()[1].split(",")
+        net = cli.lipnet.from_json(workspace["model"].read_text())
+        rec = cli.conformal.CalibrationRecord.from_json(workspace["record"].read_text())
         for data in (workspace["data"], workspace["eval"]):
             assert cli.main(["predict", "--data", str(data), *model,
                              "--out", str(tmp / "sets.csv")]) == 0
@@ -204,13 +207,22 @@ class TestPipeline:
             code, _, _ = run(
                 ["attack-eval", "--data", str(data),
                  "--eval-data", str(workspace["eval"]), *model,
-                 "--out", str(tmp / "attack.csv"), "--epsilon-grid", "0.0",
-                 "--attack-steps", "1"], capsys
+                 "--out", str(tmp / "attack.csv"), "--epsilon-grid", "0.0,0.5",
+                 "--attack-steps", "3", "--seed", "4"], capsys
             )
             assert code == 0
-            row = (tmp / "attack.csv").read_text().splitlines()[1].split(",")
-            assert float(row[2]) == size
-            assert [row[3], row[4]] == [band_at_zero[1], band_at_zero[4]]
+            rows = [r.split(",") for r in (tmp / "attack.csv").read_text().splitlines()[1:]]
+            assert float(rows[0][2]) == size
+            assert [rows[0][3], rows[0][4]] == [band_at_zero[1], band_at_zero[4]]
+            ds = cli.datasets.load_inputs_csv(data)
+            cfg = cli.attack.AttackConfig(epsilon=0.5, steps=3, seed=4)
+            mask = cli.attack.undecided_rows(
+                net, rec, cli.lipnet.forward(net, ds.data), ds.labels, cfg
+            )
+            attacked = cli.attack.pgd_attack_batch(net, ds.data, ds.labels, cfg, mask=mask)
+            member = cli.conformal.vanilla_membership(rec, cli.lipnet.forward(net, attacked))
+            assert mask.any()
+            assert float(rows[1][2]) == float(member.sum(axis=1).mean())
 
     @pytest.mark.parametrize("command", ["calibrate", "poison-certify"])
     def test_model_parsed_once(self, workspace, capsys, monkeypatch, command):

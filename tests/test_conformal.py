@@ -11,8 +11,8 @@ from liprcp.conformal import (
     InvalidRiskError,
     calibrate,
     conformal_quantile,
-    empirical_coverage,
-    prediction_set,
+    coverage_from_membership,
+    vanilla_membership,
 )
 from liprcp.scores import ScoreSpec, score
 
@@ -53,16 +53,16 @@ class TestPredictionSet:
         )
 
     def test_full_set_at_max_quantile(self):
-        ps = prediction_set(self.record(1.0), np.array([5.0, -5.0, 0.0]))
-        assert ps.members == {0, 1, 2}
+        member = vanilla_membership(self.record(1.0), np.array([[5.0, -5.0, 0.0]]))
+        np.testing.assert_array_equal(member, [[True, True, True]])
 
     def test_empty_set_below_min_score(self):
-        ps = prediction_set(self.record(1e-9), np.array([1.0, 2.0]))
-        assert ps.members == set()
+        member = vanilla_membership(self.record(1e-9), np.array([[1.0, 2.0]]))
+        np.testing.assert_array_equal(member, [[False, False]])
 
     def test_two_class_arithmetic(self):
-        ps = prediction_set(self.record(0.3), np.array([2.0, -2.0]))
-        assert ps.members == {0}
+        member = vanilla_membership(self.record(0.3), np.array([[2.0, -2.0]]))
+        np.testing.assert_array_equal(member, [[True, False]])
 
     def test_threshold_consistency_exact(self):
         rng = np.random.default_rng(4)
@@ -88,16 +88,12 @@ class TestPredictionSet:
 
 class TestCoverage:
     def test_degenerate_sets(self):
-        full = [prediction_set(
-            CalibrationRecord(1.0, 0.1, 10, ScoreSpec(), 1.0), np.zeros(3)
-        )] * 5
-        assert empirical_coverage(full, [0, 1, 2, 0, 1]) == 1.0
-        empty = [conformal.PredictionSet(frozenset())] * 5
-        assert empirical_coverage(empty, [0, 1, 2, 0, 1]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            empirical_coverage([conformal.PredictionSet(frozenset())], [0, 1])
+        full = vanilla_membership(
+            CalibrationRecord(1.0, 0.1, 10, ScoreSpec(), 1.0), np.zeros((5, 3))
+        )
+        assert coverage_from_membership(full, [0, 1, 2, 0, 1]) == 1.0
+        empty = np.zeros((5, 3), dtype=bool)
+        assert coverage_from_membership(empty, [0, 1, 2, 0, 1]) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
     def test_exchangeability_coverage(self, alpha):

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liprcp import datasets
 from liprcp.datasets import (
     PRECOMPUTED_LOGITS,
     RAW_INPUTS,
     CsvFormatError,
     LabeledDataset,
-    SplitPlan,
     load_inputs_csv,
     load_logits_csv,
     make_gaussian_mixture,
     save_csv,
-    split,
 )
 
 
@@ -70,25 +71,36 @@ class TestGaussianMixture:
             make_gaussian_mixture(10, 2, 3, 1.0, seed=0)
 
 
-class TestSplit:
-    def test_disjoint_and_sized(self):
-        ds = make_gaussian_mixture(1000, 4, 2, 2.0, seed=3)
-        cal, ev, test = split(ds, SplitPlan(0.5, 0.25, 0.25, seed=4))
-        assert (cal.n, ev.n, test.n) == (500, 250, 250)
-        all_ids = np.concatenate([cal.ids, ev.ids, test.ids])
-        assert np.unique(all_ids).size == 1000
-
-    def test_seed_changes_assignment(self):
-        ds = make_gaussian_mixture(100, 4, 2, 2.0, seed=5)
-        cal_a, _, _ = split(ds, SplitPlan(0.5, 0.25, 0.25, seed=1))
-        cal_b, _, _ = split(ds, SplitPlan(0.5, 0.25, 0.25, seed=2))
-        assert not np.array_equal(np.sort(cal_a.ids), np.sort(cal_b.ids))
-
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            SplitPlan(0.6, 0.3, 0.2)
-        with pytest.raises(ValueError):
-            SplitPlan(-0.1, 0.5, 0.5)
+def whole_file_loader(path):
+    """Raw-input loading as one str.splitlines over the whole file."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise CsvFormatError(f"{path}: empty file")
+    header = lines[0].split(",")
+    expected = ["id", "label"] + [f"x_{j}" for j in range(len(header) - 2)]
+    if header != expected:
+        raise CsvFormatError(
+            f"{path}:1: malformed header {lines[0]!r}, expected {','.join(expected)!r}"
+        )
+    width = len(header) - 2
+    ids, labels, rows = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != width + 2:
+            raise CsvFormatError(
+                f"{path}:{lineno}: expected {width + 2} columns, got {len(cells)}"
+            )
+        try:
+            labels.append(int(cells[1]))
+            rows.append([float(v) for v in cells[2:]])
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+        ids.append(cells[0])
+    return LabeledDataset(
+        np.array(rows, dtype=float).reshape(len(rows), width),
+        np.array(labels), np.array(ids), kind=RAW_INPUTS,
+    )
 
 
 class TestCsvRoundTrip:
@@ -127,6 +139,73 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError) as exc:
             load_logits_csv(p)
         assert "2" in str(exc.value)  # the offending line number
+
+    def test_wrong_kind_reads_only_the_header(self, tmp_path, monkeypatch):
+        # probing a raw-input file as logits stops after its first line
+        p = tmp_path / "inputs.csv"
+        save_csv(make_gaussian_mixture(50, 3, 2, 2.0, seed=6), p)
+        calls = []
+
+        class Spy:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def readline(self):
+                calls.append("readline")
+                return self.fh.readline()
+
+            def seek(self, pos):
+                calls.append("seek")
+                return self.fh.seek(pos)
+
+            def read(self):
+                calls.append("read")
+                return self.fh.read()
+
+        monkeypatch.setattr(
+            datasets, "open", lambda *a, **k: Spy(open(*a, **k)), raising=False
+        )
+        with pytest.raises(CsvFormatError):
+            load_logits_csv(p)
+        assert calls == ["readline"]
+        assert load_inputs_csv(p).n == 50
+        assert calls == ["readline", "readline", "seek", "read"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        breaks=st.lists(
+            st.tuples(st.integers(0, 200), st.sampled_from(
+                ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028", ""]
+            )),
+            max_size=4,
+        ),
+        cut=st.integers(0, 200),
+    )
+    def test_same_lines_and_errors_as_whole_file_splitlines(
+        self, tmp_path_factory, breaks, cut
+    ):
+        body = "id,label,x_0,x_1\n0,1,0.5,-2.0\n1,0,3.25,1e-3\n2,1,7.0,8.5\n"
+        text = body[:cut]
+        for pos, sep in breaks:
+            text = text[:pos] + sep + text[pos:]
+        p = tmp_path_factory.getbasetemp() / "odd.csv"
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+        def outcome(load):
+            try:
+                ds = load(p)
+            except CsvFormatError as exc:
+                return str(exc)
+            return ds.data.tolist(), ds.labels.tolist(), ds.ids.tolist()
+
+        assert outcome(load_inputs_csv) == outcome(whole_file_loader)
 
     def test_non_numeric_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"

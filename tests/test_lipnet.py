@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,9 +11,9 @@ from liprcp.lipnet import (
     forward,
     groupsort2,
     input_gradient,
-    lipschitz_constant,
     train_toy,
 )
+from liprcp.scores import _softmax
 
 
 def linear_model(weight, bias=None, orthogonal=False):
@@ -99,10 +100,10 @@ class TestLipschitzConstant:
     def test_all_orthogonal_is_exactly_one(self):
         rng = np.random.default_rng(3)
         model = random_deep_model(rng)
-        assert lipschitz_constant(model) == 1.0
+        assert model.lipschitz_product == 1.0
 
     def test_scaling(self):
-        assert lipschitz_constant(linear_model(2.0 * np.eye(3))) == pytest.approx(2.0)
+        assert linear_model(2.0 * np.eye(3)).lipschitz_product == pytest.approx(2.0)
 
     def test_random_layer_vs_sampled_sup(self):
         rng = np.random.default_rng(42)
@@ -117,12 +118,51 @@ class TestLipschitzConstant:
     def test_lipschitz_inequality_random_pairs(self):
         rng = np.random.default_rng(7)
         model = random_deep_model(rng)
-        lip = lipschitz_constant(model)
+        lip = model.lipschitz_product
         x = rng.standard_normal((10_000, 6))
         x2 = x + rng.standard_normal((10_000, 6))
         out_gap = np.linalg.norm(forward(model, x) - forward(model, x2), axis=1)
         in_gap = np.linalg.norm(x - x2, axis=1)
         assert np.all(out_gap <= lip * in_gap + 1e-9)
+
+
+def sigma_max_oracle(w) -> mpmath.mpf:
+    """Largest singular value of `w` to 200 bits.
+
+    Power iteration in 200-bit arithmetic, started at LAPACK's top right
+    singular vector. The Rayleigh quotient's error is quadratic in the
+    vector's, so three steps from a float64 start leave it far below 1e-25
+    relative (the eigsy cross-check below).
+    """
+    with mpmath.workprec(200):
+        a = mpmath.matrix(w.tolist())
+        v = mpmath.matrix(np.linalg.svd(w)[2][0].tolist())
+        for _ in range(3):
+            v = a.T * (a * v)
+            v /= mpmath.norm(v)
+        return mpmath.norm(a * v) / mpmath.norm(v)
+
+
+class TestSpectralNorm:
+    def test_oracle_matches_full_eigensolver(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(2):
+            w = rng.standard_normal((16, 16))
+            with mpmath.workprec(200):
+                a = mpmath.matrix(w.tolist())
+                exact = mpmath.sqrt(max(mpmath.eigsy(a.T * a, eigvals_only=True)))
+                assert abs(sigma_max_oracle(w) - exact) <= mpmath.mpf(1e-25) * exact
+
+    def test_never_below_200_bit_oracle(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            w = rng.standard_normal((16, 16))
+            with mpmath.workprec(200):
+                assert mpmath.mpf(lipnet.spectral_norm(w)) >= sigma_max_oracle(w)
+
+    def test_non_finite_weights_rejected(self):
+        with pytest.raises(ValueError):
+            lipnet.spectral_norm(np.array([[1.0, np.nan]]))
 
 
 class TestInputGradient:
@@ -192,6 +232,65 @@ class TestTrainToy:
         for layer in trained.layers:
             assert lipnet.orthogonality_residual(layer.weight) <= 1e-8
         assert trained.lipschitz_product == 1.0
+
+
+def train_toy_oracle(model, x, ys, epochs, lr, temperature):
+    """The trainer as one inlined forward and backward loop per epoch."""
+    weights = [layer.weight.copy() for layer in model.layers]
+    biases = [layer.bias.copy() for layer in model.layers]
+    n = x.shape[0]
+    onehot = np.zeros((n, model.n_classes))
+    onehot[np.arange(n), ys] = 1.0
+    last = len(weights) - 1
+    for _ in range(epochs):
+        h = x
+        layer_inputs = []
+        swap_masks = []
+        for i in range(len(weights)):
+            layer_inputs.append(h)
+            z = h @ weights[i].T + biases[i]
+            if i < last:
+                swap_masks.append(lipnet._groupsort2_swaps(z))
+                z = groupsort2(z)
+            h = z
+        probs = _softmax(h / temperature)
+        delta = (probs - onehot) / (n * temperature)
+        for i in range(last, -1, -1):
+            if i < last:
+                delta = lipnet._apply_swaps(delta, swap_masks[i])
+            grad_w = delta.T @ layer_inputs[i]
+            grad_b = delta.sum(axis=0)
+            delta = delta @ weights[i]
+            weights[i] -= lr * grad_w
+            biases[i] -= lr * grad_b
+        for i, layer in enumerate(model.layers):
+            if layer.orthogonal:
+                weights[i] = lipnet.bjorck_project(weights[i])
+    return weights, biases
+
+
+class TestTrainToyOracle:
+    def test_bit_identical_to_inlined_loop(self):
+        # a non-orthogonal first layer, an odd hidden width (5, so one
+        # coordinate passes the activation unsorted) and T != 1
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((120, 6))
+        ys = rng.integers(0, 3, size=120)
+        model = LipschitzClassifier(
+            layers=(
+                AffineLayer(0.6 * rng.standard_normal((5, 6)), rng.standard_normal(5)),
+                build_orthogonal(5, 5, seed=4),
+                build_orthogonal(5, 3, seed=5),
+            )
+        )
+        trained = train_toy(model, x, ys, epochs=25, lr=0.4, seed=9, temperature=0.7)
+        weights, biases = train_toy_oracle(model, x, ys, 25, 0.4, 0.7)
+        for layer, w, b in zip(trained.layers, weights, biases):
+            np.testing.assert_array_equal(layer.weight, w)
+            np.testing.assert_array_equal(layer.bias, b)
+        # the trained model's certificate bounds its true Lipschitz product
+        with mpmath.workprec(200):
+            assert mpmath.mpf(trained.lipschitz_product) >= sigma_max_oracle(weights[0])
 
 
 class TestSerialization:

@@ -4,11 +4,8 @@ import pytest
 from liprcp.conformal import CalibrationRecord, calibrate, vanilla_membership
 from liprcp.robust import (
     conservative_membership,
-    conservative_set,
     restrictive_membership,
-    restrictive_set,
     robust_calibrate,
-    robust_set_pair,
 )
 from liprcp.scores import GLOBAL_LIPSCHITZ, TIGHT_MONOTONE, ScoreSpec, score_all
 
@@ -58,15 +55,14 @@ class TestNesting:
             prev_lo, prev_hi = lo, hi
 
     def test_pair_matches_individual_sets(self):
+        # one logits vector gives the same rows as the batch it sits in
         rec = make_record(q=0.5)
-        logits = np.array([1.0, 0.2, -0.4])
-        pair = robust_set_pair(rec, logits, 0.2, TIGHT_MONOTONE)
-        assert pair.conservative.members == conservative_set(
-            rec, logits, 0.2, TIGHT_MONOTONE
-        ).members
-        assert pair.restrictive.members == restrictive_set(
-            rec, logits, 0.2, TIGHT_MONOTONE
-        ).members
+        logits = np.array([[1.0, 0.2, -0.4], [-2.0, 0.6, 0.1], [0.3, 0.3, 3.0]])
+        for membership in (conservative_membership, restrictive_membership):
+            batch = membership(rec, logits, 0.2, TIGHT_MONOTONE)
+            for i, row in enumerate(logits):
+                single = membership(rec, row, 0.2, TIGHT_MONOTONE)
+                np.testing.assert_array_equal(single, batch[i : i + 1])
 
 
 class TestRobustCalibrate:

@@ -10,8 +10,6 @@ from liprcp.scores import (
     TIGHT_MONOTONE,
     ScoreSpec,
     UnsupportedMethodError,
-    bound_global,
-    bound_tight,
     lower_bound_all,
     score,
     sigmoid_inverse_threshold,
@@ -20,6 +18,13 @@ from liprcp.scores import (
 
 SIGMOID = ScoreSpec()
 SOFTMAX = ScoreSpec(kind=LAC_SOFTMAX)
+
+
+def bounds(spec, logits, y, eps, lip, method=TIGHT_MONOTONE):
+    """Lower and upper bounds of class y's score, from the batch functions."""
+    lo = lower_bound_all(spec, logits, eps, lip, method)[..., y]
+    hi = upper_bound_all(spec, logits, eps, lip, method)[..., y]
+    return lo, hi
 
 
 class TestScore:
@@ -51,53 +56,55 @@ class TestScore:
 
 class TestGlobalBound:
     def test_arithmetic(self):
-        logits = np.array([0.0, 1.0])
-        b = bound_global(SIGMOID, logits, 0, epsilon=0.2, lipschitz_product=1.0)
-        assert b.lower == pytest.approx(0.45)
-        assert b.upper == pytest.approx(0.55)
+        logits = np.array([[0.0, 1.0], [1.0, 0.0]])
+        lo, hi = bounds(SIGMOID, logits, 0, 0.2, 1.0, GLOBAL_LIPSCHITZ)
+        np.testing.assert_allclose(lo, [0.45, 1.0 / (1.0 + np.e) - 0.05])
+        np.testing.assert_allclose(hi, [0.55, 1.0 / (1.0 + np.e) + 0.05])
 
     def test_epsilon_zero_collapses(self):
-        logits = np.array([0.3, -0.2])
-        b = bound_global(SIGMOID, logits, 0, epsilon=0.0, lipschitz_product=2.0)
-        s = score(SIGMOID, logits, 0)
-        assert b.lower == b.upper == pytest.approx(s)
+        logits = np.array([[0.3, -0.2], [-1.5, 2.0]])
+        lo, hi = bounds(SIGMOID, logits, 0, 0.0, 2.0, GLOBAL_LIPSCHITZ)
+        s = score(SIGMOID, logits, np.zeros(2, dtype=int))
+        np.testing.assert_array_equal(lo, s)
+        np.testing.assert_array_equal(hi, s)
 
     def test_softmax_unsupported(self):
-        with pytest.raises(UnsupportedMethodError):
-            bound_global(SOFTMAX, np.array([0.0, 1.0]), 0, 0.1, 1.0)
+        for bound in (lower_bound_all, upper_bound_all):
+            with pytest.raises(UnsupportedMethodError):
+                bound(SOFTMAX, np.array([[0.0, 1.0]]), 0.1, 1.0, GLOBAL_LIPSCHITZ)
 
 
 class TestTightBound:
     def test_sigmoid_closed_form(self):
-        b = bound_tight(SIGMOID, np.array([0.0, 1.0]), 0, epsilon=1.0, lipschitz_product=1.0)
-        assert b.lower == pytest.approx(1.0 / (1.0 + np.e), abs=1e-9)
-        assert b.upper == pytest.approx(np.e / (1.0 + np.e), abs=1e-9)
+        lo, hi = bounds(SIGMOID, np.array([[0.0, 1.0]]), 0, 1.0, 1.0)
+        np.testing.assert_allclose(lo, [1.0 / (1.0 + np.e)], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(hi, [np.e / (1.0 + np.e)], rtol=0, atol=1e-9)
 
     def test_dominates_global(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            logits = rng.standard_normal(4) * 3
+            logits = rng.standard_normal((1, 4)) * 3
             eps = float(rng.uniform(0.01, 2.0))
-            y = int(rng.integers(4))
-            tight = bound_tight(SIGMOID, logits, y, eps, 1.0)
-            glo = bound_global(SIGMOID, logits, y, eps, 1.0)
-            assert tight.lower > glo.lower - 1e-15
-            assert tight.upper < glo.upper + 1e-15
-            if glo.lower > 0.0:
-                assert tight.lower > glo.lower
+            t_lo, t_hi = bounds(SIGMOID, logits, slice(None), eps, 1.0)
+            g_lo, g_hi = bounds(SIGMOID, logits, slice(None), eps, 1.0, GLOBAL_LIPSCHITZ)
+            assert np.all(t_lo > g_lo - 1e-15)
+            assert np.all(t_hi < g_hi + 1e-15)
+            assert np.all(t_lo[g_lo > 0.0] > g_lo[g_lo > 0.0])
 
     def test_epsilon_zero_collapses(self):
+        logits = np.array([[0.4, -1.0, 0.2], [2.0, 0.1, -3.0]])
         for spec in (SIGMOID, SOFTMAX):
-            logits = np.array([0.4, -1.0, 0.2])
-            b = bound_tight(spec, logits, 1, epsilon=0.0, lipschitz_product=1.0)
-            assert b.lower == b.upper == pytest.approx(score(spec, logits, 1))
+            lo, hi = bounds(spec, logits, 1, 0.0, 1.0)
+            expected = score(spec, logits, np.ones(2, dtype=int))
+            np.testing.assert_allclose(lo, expected)
+            np.testing.assert_allclose(hi, expected)
 
     def test_monotone_in_epsilon(self):
-        logits = np.array([0.5, -0.5, 1.5])
+        logits = np.array([[0.5, -0.5, 1.5]])
         grid = np.linspace(0.0, 2.0, 21)
         for spec in (SIGMOID, SOFTMAX):
-            lowers = [bound_tight(spec, logits, 0, e, 1.0).lower for e in grid]
-            uppers = [bound_tight(spec, logits, 0, e, 1.0).upper for e in grid]
+            lowers = [bounds(spec, logits, 0, e, 1.0)[0][0] for e in grid]
+            uppers = [bounds(spec, logits, 0, e, 1.0)[1][0] for e in grid]
             assert np.all(np.diff(lowers) <= 1e-15)
             assert np.all(np.diff(uppers) >= -1e-15)
 
@@ -111,12 +118,12 @@ class TestTightBound:
             x = rng.standard_normal(4)
             eps = float(rng.uniform(0.0, 1.5))
             y = int(rng.integers(4))
-            logits = lipnet.forward(model, x)
-            b = bound_tight(SIGMOID, logits, y, eps, model.lipschitz_product)
+            logits = lipnet.forward(model, x[None])
+            lo, hi = bounds(SIGMOID, logits, y, eps, model.lipschitz_product)
             worst = lipnet.forward(model, x - eps * layer.weight[y])[y]
             best = lipnet.forward(model, x + eps * layer.weight[y])[y]
-            assert b.upper == pytest.approx(score(SIGMOID, np.array([worst]), 0), abs=1e-9)
-            assert b.lower == pytest.approx(score(SIGMOID, np.array([best]), 0), abs=1e-9)
+            assert hi[0] == pytest.approx(score(SIGMOID, np.array([worst]), 0), abs=1e-9)
+            assert lo[0] == pytest.approx(score(SIGMOID, np.array([best]), 0), abs=1e-9)
 
 
 class TestSoundnessSampling:
