@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .conformal import CalibrationRecord
 from .scores import (
@@ -46,6 +45,23 @@ _BRACKET = 1e-8
 
 class BandInversionError(ValueError):
     """A Clopper-Pearson value failed its bracket check."""
+
+
+# scipy is imported inside these two calls, not at the top of the module:
+# only the band needs it, and importing it costs more than most commands'
+# arithmetic, so the commands that build no band never load it.
+def betainc(a, b, x):
+    """``scipy.special.betainc``, the regularized incomplete beta function."""
+    from scipy.special import betainc as _betainc
+
+    return _betainc(a, b, x)
+
+
+def betaincinv(a, b, y):
+    """``scipy.special.betaincinv``, the inverse of `betainc` in ``x``."""
+    from scipy.special import betaincinv as _betaincinv
+
+    return _betaincinv(a, b, y)
 
 
 @dataclass(frozen=True)

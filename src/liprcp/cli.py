@@ -180,13 +180,10 @@ def cmd_calibrate(args, cfg) -> dict:
     cal_scores = scores.score(spec, logits, labels)
     alpha = _opt(args, cfg, "alpha", 0.1)
     epsilon = _opt(args, cfg, "epsilon", 0.0)
-    try:
-        if epsilon > 0:
-            record = robust.robust_calibrate(cal_scores, alpha, epsilon, spec, ln)
-        else:
-            record = conformal.calibrate(cal_scores, alpha, spec, ln)
-    except conformal.InvalidRiskError as exc:
-        raise SystemExit(f"invalid risk: {exc}")
+    if epsilon > 0:
+        record = robust.robust_calibrate(cal_scores, alpha, epsilon, spec, ln)
+    else:
+        record = conformal.calibrate(cal_scores, alpha, spec, ln)
     _write(Path(args.out), record.to_json() + "\n")
     return {"path": args.out, "q_alpha": record.q_alpha, "n_cal": record.n_cal}
 

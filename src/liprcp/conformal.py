@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scores import ScoreSpec, score_all
+from .scores import ScoreSpec, require_keys, score_all
 
 
 class InvalidRiskError(ValueError):
@@ -45,15 +45,21 @@ class CalibrationRecord:
 
     @staticmethod
     def from_json(text: str) -> "CalibrationRecord":
-        doc = json.loads(text)
-        return CalibrationRecord(
-            q_alpha=float(doc["q_alpha"]),
-            alpha=float(doc["alpha"]),
-            n_cal=int(doc["n_cal"]),
-            score_spec=ScoreSpec.from_dict(doc["score_spec"]),
-            lipschitz_product=float(doc["lipschitz_product"]),
-            epsilon_calibrated=float(doc["epsilon_calibrated"]),
-        )
+        """Parse a record; a malformed document raises ValueError."""
+        keys = ("q_alpha", "alpha", "n_cal", "score_spec", "lipschitz_product",
+                "epsilon_calibrated")
+        doc = require_keys(json.loads(text), keys, "calibration record")
+        try:
+            return CalibrationRecord(
+                q_alpha=float(doc["q_alpha"]),
+                alpha=float(doc["alpha"]),
+                n_cal=int(doc["n_cal"]),
+                score_spec=ScoreSpec.from_dict(doc["score_spec"]),
+                lipschitz_product=float(doc["lipschitz_product"]),
+                epsilon_calibrated=float(doc["epsilon_calibrated"]),
+            )
+        except TypeError as exc:  # a value of the wrong JSON type, e.g. null
+            raise ValueError(f"calibration record: {exc}") from exc
 
 
 def conformal_rank(n: int, alpha: float) -> int:

@@ -89,9 +89,10 @@ def save_csv(dataset: LabeledDataset, path) -> None:
     header = "id,label," + ",".join(f"{prefix}_{j}" for j in range(width))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for rid, label, row in zip(dataset.ids, dataset.labels, dataset.data):
-            cells = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{rid},{label},{cells}\n")
+        # tolist() gives Python floats, whose repr is the lossless one
+        rows = zip(dataset.ids.tolist(), dataset.labels.tolist(), dataset.data.tolist())
+        for rid, label, row in rows:
+            fh.write(f"{rid},{label},{','.join(map(repr, row))}\n")
 
 
 def _load_csv(path, prefix: str, kind: str) -> LabeledDataset:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import substream
-from .scores import _softmax
+from .scores import _softmax, require_keys
 
 ORTHO_TOL = 1e-9
 PROJ_TOL = 1e-10
@@ -76,18 +76,20 @@ def groupsort2(x: np.ndarray) -> np.ndarray:
     """Sort each consecutive disjoint pair of coordinates ascending.
 
     Works on a single vector or a batch (last axis is the feature axis).
-    An odd trailing coordinate passes through unchanged.
+    An odd trailing coordinate passes through unchanged. The pair minima
+    and maxima are written straight into the one output array, so a call
+    allocates nothing else of the input's size.
     """
     x = np.asarray(x, dtype=float)
-    out = x.copy()
+    out = np.empty(x.shape)
     d = x.shape[-1]
     npairs = d // 2
-    a = out[..., 0 : 2 * npairs : 2]
-    b = out[..., 1 : 2 * npairs : 2]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    out[..., 0 : 2 * npairs : 2] = lo
-    out[..., 1 : 2 * npairs : 2] = hi
+    a = x[..., 0 : 2 * npairs : 2]
+    b = x[..., 1 : 2 * npairs : 2]
+    np.minimum(a, b, out=out[..., 0 : 2 * npairs : 2])
+    np.maximum(a, b, out=out[..., 1 : 2 * npairs : 2])
+    if d % 2:
+        out[..., -1] = x[..., -1]
     return out
 
 
@@ -99,13 +101,14 @@ def _groupsort2_swaps(z: np.ndarray) -> np.ndarray:
 
 
 def _apply_swaps(v: np.ndarray, swaps: np.ndarray) -> np.ndarray:
-    """Permute `v` with the pairwise swaps recorded in `swaps`."""
+    """Permute `v` with the pairwise swaps recorded in `swaps`.
+
+    One copy of `v`; the swapped entries are then written over it in place.
+    """
     out = v.copy()
     npairs = swaps.shape[-1]
-    a = out[..., 0 : 2 * npairs : 2].copy()
-    b = out[..., 1 : 2 * npairs : 2].copy()
-    out[..., 0 : 2 * npairs : 2] = np.where(swaps, b, a)
-    out[..., 1 : 2 * npairs : 2] = np.where(swaps, a, b)
+    np.copyto(out[..., 0 : 2 * npairs : 2], v[..., 1 : 2 * npairs : 2], where=swaps)
+    np.copyto(out[..., 1 : 2 * npairs : 2], v[..., 0 : 2 * npairs : 2], where=swaps)
     return out
 
 
@@ -349,15 +352,24 @@ def to_json(model: LipschitzClassifier) -> str:
 
 
 def from_json(text: str) -> LipschitzClassifier:
-    doc = json.loads(text)
-    if doc.get("activation") != "groupsort2":
-        raise ValueError(f"unsupported activation {doc.get('activation')!r}")
-    layers = tuple(
-        AffineLayer(
-            weight=np.array(spec["weight"], dtype=float),
-            bias=np.array(spec["bias"], dtype=float),
-            orthogonal=bool(spec["orthogonal"]),
+    """Parse the JSON model format; a malformed document raises ValueError."""
+    doc = require_keys(json.loads(text), ("activation", "layers"), "model")
+    if doc["activation"] != "groupsort2":
+        raise ValueError(f"unsupported activation {doc['activation']!r}")
+    specs = doc["layers"]
+    if not isinstance(specs, list):
+        raise ValueError(f"model 'layers' must be a list, got {type(specs).__name__}")
+    for i, spec in enumerate(specs):
+        require_keys(spec, ("weight", "bias", "orthogonal"), f"model layer {i}")
+    try:
+        layers = tuple(
+            AffineLayer(
+                weight=np.array(spec["weight"], dtype=float),
+                bias=np.array(spec["bias"], dtype=float),
+                orthogonal=bool(spec["orthogonal"]),
+            )
+            for spec in specs
         )
-        for spec in doc["layers"]
-    )
+    except TypeError as exc:  # a non-numeric weight or bias entry
+        raise ValueError(f"model layer: {exc}") from exc
     return LipschitzClassifier(layers=layers)

@@ -68,11 +68,26 @@ class ScoreSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "ScoreSpec":
+        require_keys(doc, ("kind", "temperature"), "score_spec")
         return ScoreSpec(
             kind=doc["kind"],
             temperature=float(doc["temperature"]),
             bias=float(doc.get("bias", 0.0)),
         )
+
+
+def require_keys(doc, keys, what: str):
+    """Return the parsed JSON value `doc` if it is an object with every key.
+
+    Otherwise raise ValueError naming `what` and the first missing key, so
+    a malformed file fails as a ValueError, not as a KeyError or TypeError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} is missing key {key!r}")
+    return doc
 
 
 def _sigmoid(z):

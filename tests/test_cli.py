@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,12 +273,119 @@ class TestPipeline:
         assert cert["k"] == 3
 
     def test_calibrate_invalid_alpha_exits(self, workspace, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(
-                ["calibrate", "--data", str(workspace["eval"]),
-                 "--model", str(workspace["model"]),
-                 "--out", str(workspace["tmp"] / "r.json"), "--alpha", "0.0001"]
-            )
+        code, stdout, stderr = run(
+            ["calibrate", "--data", str(workspace["eval"]),
+             "--model", str(workspace["model"]),
+             "--out", str(workspace["tmp"] / "r.json"), "--alpha", "0.0001"], capsys
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "alpha" in json.loads(stderr)["error"]
+
+
+def _layer_doc(**override):
+    layer = {"weight": [[1.0, 0.0], [0.0, 1.0]], "bias": [0.0, 0.0],
+             "orthogonal": True}
+    layer.update(override)
+    return {key: value for key, value in layer.items() if value is not None}
+
+
+class TestMalformedFiles:
+    """A model or record file of the wrong shape is a JSON error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"activation": "groupsort2"}, "'layers'"),
+            ({"activation": "groupsort2", "layers": 5}, "'layers'"),
+            ({"activation": "groupsort2", "layers": [_layer_doc(orthogonal=None)]},
+             "'orthogonal'"),
+            ({"activation": "groupsort2", "layers": [_layer_doc(bias=[{}, 0.0])]},
+             "model layer"),
+            ([1, 2], "JSON object"),
+        ],
+        ids=["no-layers", "layers-not-list", "layer-no-orthogonal",
+             "non-numeric-bias", "not-object"],
+    )
+    def test_bad_model(self, workspace, capsys, model, message):
+        bad = workspace["tmp"] / "bad_model.json"
+        bad.write_text(json.dumps(model))
+        code, stdout, stderr = run(
+            ["predict", "--data", str(workspace["eval"]), "--model", str(bad),
+             "--record", str(workspace["record"]),
+             "--out", str(workspace["tmp"] / "sets.csv")], capsys
+        )
+        assert code == 1
+        assert stdout == ""
+        assert message in json.loads(stderr)["error"]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {"alpha": 0.1}, "'q_alpha'"),
+            (lambda doc: [1, 2], "JSON object"),
+            (lambda doc: {**doc, "q_alpha": None}, "calibration record"),
+            (lambda doc: {**doc, "score_spec": {"temperature": 1.0}}, "'kind'"),
+        ],
+        ids=["no-q_alpha", "not-object", "null-q_alpha", "spec-no-kind"],
+    )
+    def test_bad_record(self, workspace, capsys, edit, message):
+        bad = workspace["tmp"] / "bad_record.json"
+        bad.write_text(json.dumps(edit(json.loads(workspace["record"].read_text()))))
+        code, stdout, stderr = run(
+            ["predict", "--data", str(workspace["eval"]),
+             "--model", str(workspace["model"]), "--record", str(bad),
+             "--out", str(workspace["tmp"] / "sets.csv")], capsys
+        )
+        assert code == 1
+        assert stdout == ""
+        assert message in json.loads(stderr)["error"]
+
+
+_SCIPY_PROBE = """
+import json, sys
+from liprcp import cli
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+d = sys.argv[1]
+io = {"data": d + "/data.csv", "model": d + "/model.json", "record": d + "/record.json"}
+commands = [
+    ["synth", "--out", io["data"], "--n", "200", "--d", "4", "--c", "2", "--seed", "1"],
+    ["train", "--data", io["data"], "--out", io["model"], "--epochs", "5"],
+    ["calibrate", "--data", io["data"], "--model", io["model"], "--out", io["record"]],
+    ["predict", "--data", io["data"], "--model", io["model"], "--record", io["record"],
+     "--out", d + "/sets.csv"],
+    ["robust-predict", "--data", io["data"], "--model", io["model"],
+     "--record", io["record"], "--out", d + "/rsets.csv", "--epsilon", "0.1"],
+    ["poison-certify", "--data", io["data"], "--model", io["model"],
+     "--out", d + "/cert.json", "--k", "2", "--epsilon", "0.1"],
+    ["audit", "--data", io["data"], "--model", io["model"], "--record", io["record"],
+     "--out", d + "/band.csv"],
+]
+loaded = []
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+    loaded.append([argv[0], scipy_loaded()])
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_for_the_band(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert loaded == [
+        ["synth", False], ["train", False], ["calibrate", False],
+        ["predict", False], ["robust-predict", False], ["poison-certify", False],
+        ["audit", True],
+    ]
 
 
 class TestReproducibility:

@@ -16,6 +16,30 @@ from liprcp.lipnet import (
 from liprcp.scores import _softmax
 
 
+def groupsort2_oracle(x):
+    """groupsort2 as first written: a full copy, then half-size min and max."""
+    out = x.copy()
+    npairs = x.shape[-1] // 2
+    a = out[..., 0 : 2 * npairs : 2]
+    b = out[..., 1 : 2 * npairs : 2]
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    out[..., 0 : 2 * npairs : 2] = lo
+    out[..., 1 : 2 * npairs : 2] = hi
+    return out
+
+
+def apply_swaps_oracle(v, swaps):
+    """_apply_swaps as first written: copies of both halves and np.where."""
+    out = v.copy()
+    npairs = swaps.shape[-1]
+    a = out[..., 0 : 2 * npairs : 2].copy()
+    b = out[..., 1 : 2 * npairs : 2].copy()
+    out[..., 0 : 2 * npairs : 2] = np.where(swaps, b, a)
+    out[..., 1 : 2 * npairs : 2] = np.where(swaps, a, b)
+    return out
+
+
 def linear_model(weight, bias=None, orthogonal=False):
     weight = np.asarray(weight, dtype=float)
     if bias is None:
@@ -80,6 +104,24 @@ class TestForward:
         np.testing.assert_array_equal(
             np.linalg.norm(groupsort2(v), axis=1), np.linalg.norm(v, axis=1)
         )
+
+    def test_groupsort2_kernels_match_copy_based_oracle(self):
+        rng = np.random.default_rng(5)
+        for shape in [(1,), (2,), (7,), (8,), (30, 5), (30, 8), (3, 20, 5), (3, 20, 6)]:
+            # ties, NaN and both signed zeros, compared bit for bit
+            x = rng.integers(-2, 3, size=shape).astype(float)
+            x.flat[::7] = np.nan
+            x.flat[3::11] = -0.0
+            np.testing.assert_array_equal(
+                groupsort2(x).view(np.uint64), groupsort2_oracle(x).view(np.uint64)
+            )
+            swaps = lipnet._groupsort2_swaps(x)
+            v = rng.standard_normal(shape)
+            v.flat[::5] = np.nan
+            np.testing.assert_array_equal(
+                lipnet._apply_swaps(v, swaps).view(np.uint64),
+                apply_swaps_oracle(v, swaps).view(np.uint64),
+            )
 
     def test_identity_model(self):
         model = linear_model(np.eye(3))
