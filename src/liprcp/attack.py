@@ -1,22 +1,22 @@
 """l2 projected-gradient attack on toy Lipschitz models.
 
-The attack climbs the non-conformity score of a chosen class (equivalently,
-descends its logit, since every supported score is strictly decreasing in
-the target logit), with normalized steps, hard projection onto the
-epsilon-ball after every step, and best-of-restarts selection. It is the
+The attack descends the logit of a chosen class (for the sigmoid score,
+the same as climbing its score), with normalized steps, hard projection onto
+the epsilon-ball after every step, and best-of-restarts selection. It is the
 empirical adversary every certificate in the toolkit is validated against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .audit import critical_epsilons
 from .conformal import CalibrationRecord, coverage_from_membership, vanilla_membership
 from .lipnet import LipschitzClassifier, forward, input_gradient_batch
 from .rng import substream
-from .scores import lower_bound_all, upper_bound_all
+from .scores import score
 
 MAXIMIZE_TRUE_SCORE = "maximize_true_score"
 MINIMIZE_TRUE_SCORE = "minimize_true_score"
@@ -69,12 +69,12 @@ def pgd_attack_batch(
 ) -> np.ndarray:
     """Attack a batch of inputs; returns perturbed inputs within the ball.
 
-    Since the score is a strictly monotone decreasing function of the true
-    logit, maximizing the score means minimizing logits[:, y] and vice
-    versa. Zero-gradient steps keep the iterate. Each restart starts from
-    the clean point or a random point in the ball, and a row's result only
-    moves to a restart's end point when it strictly improves the objective,
-    so, up to rounding, no row ends worse off than at the clean point.
+    Maximizing the score means minimizing logits[:, y] and vice versa (for
+    softmax a proxy, since the other logits move too). Zero-gradient steps
+    keep the iterate. Each restart starts from the clean point or a random
+    point in the ball, and a row's result only moves to a restart's end
+    point when it strictly improves the objective, so, up to rounding, no
+    row ends worse off than at the clean point.
 
     ``mask`` (boolean, one entry per row) limits the attack to the rows it
     selects; the other rows come back unperturbed. The restart noise is
@@ -132,23 +132,19 @@ def undecided_rows(
 ) -> np.ndarray:
     """Rows whose coverage the certificate leaves open under `cfg`'s attack.
 
-    ``logits`` are the clean logits. Every other row keeps its clean-point
-    coverage anywhere in the epsilon-ball (see `coverage_under_attack`).
-    The bounds use the attacked model's own Lipschitz product, applied at
-    epsilon * (1 + 1e-6) so that rounding cannot settle a row the attack
-    could flip: in the forward pass, and in layers flagged orthogonal, which
-    count as exactly 1 though their norm may exceed it by ~1e-8.
+    ``logits`` are the clean logits. A covered row is undecided when its
+    exit budget is below epsilon (minimize: an uncovered row whose entry is
+    at most epsilon); the others are settled (see `coverage_under_attack`).
+    The budgets use the model's own Lipschitz product, and
+    epsilon * (1 + 1e-6) covers rounding in the forward pass and in layers
+    flagged orthogonal, whose norm may exceed 1 by ~1e-8.
     """
-    labels = np.asarray(labels)
-    idx = np.arange(labels.size)
-    covered = vanilla_membership(cal, logits)[idx, labels]
+    own = replace(cal, lipschitz_product=model.lipschitz_product)
+    crit = critical_epsilons(own, score(cal.score_spec, logits, labels))
     eps = cfg.epsilon * (1.0 + 1e-6)
-    ln = model.lipschitz_product
     if cfg.objective == MAXIMIZE_TRUE_SCORE:
-        worst = upper_bound_all(cal.score_spec, logits, eps, ln)[idx, labels]
-        return covered & (worst > cal.q_alpha)
-    best = lower_bound_all(cal.score_spec, logits, eps, ln)[idx, labels]
-    return ~covered & (best <= cal.q_alpha)
+        return (crit.exit >= 0) & (crit.exit < eps)
+    return (crit.entry > 0) & (crit.entry <= eps)
 
 
 def coverage_under_attack(
@@ -160,21 +156,22 @@ def coverage_under_attack(
 ) -> tuple[float, float]:
     """Coverage and mean size of vanilla sets at attacked points.
 
-    One clean forward pass splits the rows in three with the tight score
-    bounds. For the maximize objective:
+    One clean forward pass splits the rows in three with the critical
+    budgets (`undecided_rows`). For the maximize objective:
 
-    * certified: the true label's upper score bound over the ball is
-      <= q_alpha, so the label stays covered wherever the attack goes;
-    * lost: the label is uncovered at the clean point, and stays so because
-      PGD starts there and keeps the best score it has seen;
-    * undecided: all other rows.
+    * certified: the exit budget is >= epsilon, so the label stays covered
+      wherever the attack goes;
+    * lost: the label is uncovered at the clean point, where PGD starts and
+      whose objective it only ever improves on;
+    * undecided: all other rows, the only ones that run PGD.
 
-    The minimize objective mirrors this: rows covered at the clean point
-    stay covered, and rows whose label is outside the conservative set
-    (lower score bound > q_alpha) stay uncovered. Only undecided rows run
-    PGD; the others are evaluated at their clean point, so the coverage
-    equals that of attacking every row with `pgd_attack_batch`. The mean
-    set size is that of the sets at the inputs the attack returns.
+    The minimize objective mirrors this. For the sigmoid score the coverage
+    equals that of attacking every row with `pgd_attack_batch`. For softmax
+    a lower true logit need not mean a higher score, so attacking a lost
+    row can end at a covered point: the pruned coverage can fall below the
+    unpruned one (minimize: rise above it), still inside the certified
+    band. The mean set size is that of the sets at the inputs the attack
+    returns.
     """
     x = np.atleast_2d(test_inputs)
     labels = np.atleast_1d(test_labels)

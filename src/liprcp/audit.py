@@ -18,18 +18,12 @@ F(p - 1e-8) > delta > F(p + 1e-8) before it is returned.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conformal import CalibrationRecord
-from .scores import (
-    GLOBAL_LIPSCHITZ,
-    LAC_SIGMOID,
-    TIGHT_MONOTONE,
-    sigmoid_inverse_threshold,
-)
+from .scores import GLOBAL_LIPSCHITZ, TIGHT_MONOTONE, margin_gap
 
 RIGHT_CONTINUOUS = "right_continuous"
 LEFT_CONTINUOUS = "left_continuous"
@@ -38,6 +32,12 @@ APPENDIX_CORRECTED = "appendix_corrected"
 MAIN_TEXT_RAW = "main_text_raw"
 
 NEVER = -np.inf  # exit threshold for samples that are never set members
+
+# A computed score is within 1.5 * 2^-53 of the true one (200-bit oracle):
+# moving it 2^-52 away from q absorbs that, and shrinking the budget by
+# 2^-49 absorbs margin_gap's few ulps and the division by L.
+_WIDEN = 2.0**-52
+_SHRINK = 1.0 - 2.0**-49
 
 # half-width of the bracket every inverted tail value must straddle
 _BRACKET = 1e-8
@@ -121,39 +121,30 @@ def critical_epsilons(
     eval_scores_true_label,
     method: str = TIGHT_MONOTONE,
 ) -> CriticalEpsilons:
-    """Exact membership-flip budgets from the monotone score bounds.
+    """Membership-flip budgets of the true label, from its scores alone.
 
-    Works from true-label scores only: for the sigmoid score the logit is
-    recovered by inverting the (strictly monotone) score map.
+    A row is covered at epsilon = 0 iff its score is <= q_alpha, as in the
+    vanilla set. A tight budget is the margin gap between the score and
+    q_alpha (`scores.margin_gap`) over L, for both score families, rounded
+    toward 0. q_alpha is clipped to [0, 1]; at 0 or 1 budgets are infinite.
     """
     s = np.asarray(eval_scores_true_label, dtype=float)
     q = cal.q_alpha
     spec = cal.score_spec
     ln = cal.lipschitz_product
-    if method == TIGHT_MONOTONE and spec.kind == LAC_SIGMOID:
-        if not (0.0 < q < 1.0):
-            warnings.warn(
-                f"q_alpha={q} outside (0,1): tight inversion undefined, "
-                "falling back to the global method",
-                RuntimeWarning,
-            )
-            method = GLOBAL_LIPSCHITZ
-    if method == TIGHT_MONOTONE and spec.kind == LAC_SIGMOID:
-        thr = sigmoid_inverse_threshold(spec, q)
-        # logit of each eval sample, from the strictly monotone score map
-        logit = np.clip(s, 1e-300, 1.0 - 1e-16)
-        logit = spec.bias + spec.temperature * np.log((1.0 - logit) / logit)
-        entry = np.maximum(0.0, (thr - logit) / ln)
-        exit_ = (logit - thr) / ln
+    covered = s <= q
+    # one budget per row: the exit of a covered row, the entry of the others
+    if method == TIGHT_MONOTONE:
+        above = np.where(covered, s + _WIDEN, q)
+        below = np.where(covered, q, s - _WIDEN)
+        budget = margin_gap(spec, above, below) / ln * _SHRINK
     elif method == GLOBAL_LIPSCHITZ:
-        lt = ln * spec.score_lipschitz
-        entry = np.maximum(0.0, (s - q) / lt)
-        exit_ = (q - s) / lt
+        budget = np.abs(q - s) / (ln * spec.score_lipschitz)
     else:
-        raise ValueError(
-            f"method {method!r} not supported for score kind {spec.kind!r}"
-        )
-    exit_ = np.where(exit_ < 0, NEVER, exit_)
+        raise ValueError(f"unknown bound method {method!r}")
+    # fmax turns a nan budget (score within 2^-52 of q = 0 or 1) into ~0
+    entry = np.where(covered, 0.0, np.fmax(budget, np.nextafter(0.0, 1.0)))
+    exit_ = np.where(covered, np.fmax(budget, 0.0), NEVER)
     return CriticalEpsilons(entry=entry, exit=exit_, method=method)
 
 

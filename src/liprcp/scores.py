@@ -6,13 +6,16 @@ Two score families are supported:
   w.r.t. the target logit is ``1 / (4 T)``.
 * LAC softmax: ``1 - softmax(logits / T)_y``.
 
+Both are ``1 - sigmoid((h - offset) / scale)`` of a per-class margin h: the
+logit, b and T for sigmoid; ``-(T/2) log sum_{j != y} exp((l_j - l_y) / T)``,
+0 and T/2 for softmax. Each margin moves by at most as much as the logits.
+
 For an ``L_n``-Lipschitz classifier and a perturbation budget ``epsilon``,
 two bounding methods are provided: the global Lipschitz bound
 ``score +- L_n * L_s * epsilon`` (sigmoid only, since no global logit-space
-constant is available for the softmax score) and a tighter bound that
-pushes the logits to the worst corner of the reachable box and re-evaluates
-the score there. The tight bound dominates the global one and is exact for
-single affine models.
+constant is available for the softmax score) and a tighter bound that moves
+every margin by ``L_n * epsilon``. The tight bound dominates the global one;
+for sigmoid it is exact on a single orthogonal affine layer.
 """
 
 from __future__ import annotations
@@ -101,12 +104,69 @@ def _softmax(z):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def _margin_form(spec: ScoreSpec) -> tuple[float, float]:
+    """(offset, scale) with score = 1 - sigmoid((margin - offset) / scale)."""
+    if spec.kind == LAC_SIGMOID:
+        return spec.bias, spec.temperature
+    return 0.0, spec.temperature / 2.0
+
+
+def _margins(spec: ScoreSpec, logits: np.ndarray) -> np.ndarray:
+    """Per-class margins: the logits themselves for sigmoid; for softmax,
+    h_k = -(T/2) log A_k with A_k = sum_{j != k} exp((l_j - l_k) / T)."""
+    if spec.kind == LAC_SIGMOID:
+        return logits
+    t = spec.temperature
+    lg = np.atleast_2d(logits)
+    if lg.shape[1] == 1:  # no other class: A = 0, the score is 0
+        return np.full(np.shape(logits), np.inf)
+    rows, top = np.arange(lg.shape[0]), np.argmax(lg, axis=1)
+    m1 = lg[rows, top]
+    # e_j = exp((l_j - m2) / T) for j != top, m2 the runner-up, so e_j <= 1
+    # <= r = sum e_j; then, free of cancellation, A_top = exp((m2 - m1) / T) r
+    # and A_k = exp((m1 - l_k) / T) (1 + exp((m2 - m1) / T) (r - e_k)). Logits
+    # are differenced before dividing by T, so large logits keep their digits.
+    e = lg.copy()
+    e[rows, top] = -np.inf
+    m2 = e.max(axis=1)
+    e = np.exp((e - m2[:, None]) / t)
+    r = e.sum(axis=1)
+    rest = np.exp((m2 - m1) / t)[:, None] * (r[:, None] - e)
+    h = (lg - m1[:, None]) / 2 - t / 2 * np.log1p(rest)
+    h[rows, top] = (m1 - m2) / 2 - t / 2 * np.log(r)
+    return h.reshape(np.shape(logits))
+
+
+def _bound(spec: ScoreSpec, logits: np.ndarray, shift: float) -> np.ndarray:
+    """Scores of every class with each margin moved by `shift`: the scores
+    at 0, and over a ball that moves each logit by at most r, the lowest at
+    +r and the highest at -r."""
+    offset, scale = _margin_form(spec)
+    return 1.0 - _sigmoid((_margins(spec, logits) + shift - offset) / scale)
+
+
+def margin_gap(spec: ScoreSpec, s, t):
+    """How far the margin of score s lies above that of score t:
+    scale * log((1 - s) t / (s (1 - t))), the offset cancelled.
+
+    Taken as log1p((t - s) / (s (1 - t))) with s the smaller score, it is
+    good to a few ulps relative however close s and t are. Scores are
+    clipped to [0, 1], and a nonzero smaller one to at least 2^-900, which
+    keeps the ratio finite and only shrinks the gap: +inf at s = 0 or t = 1,
+    -inf at s = 1 or t = 0, nan at s = t = 0 or 1.
+    """
+    _, scale = _margin_form(spec)
+    s, t = np.clip(s, 0.0, 1.0), np.clip(t, 0.0, 1.0)
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
+    lo = np.where(lo > 0.0, np.maximum(lo, 2.0**-900), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = scale * np.log1p((hi - lo) / (lo * (1.0 - hi)))
+    return np.where(s <= t, gap, -gap)
+
+
 def score_all(spec: ScoreSpec, logits: np.ndarray) -> np.ndarray:
     """Scores of every class; logits may be (c,) or batched (n, c)."""
-    logits = np.asarray(logits, dtype=float)
-    if spec.kind == LAC_SIGMOID:
-        return 1.0 - _sigmoid((logits - spec.bias) / spec.temperature)
-    return 1.0 - _softmax(logits / spec.temperature)
+    return _bound(spec, np.asarray(logits, dtype=float), 0.0)
 
 
 def score(spec: ScoreSpec, logits: np.ndarray, y) -> float | np.ndarray:
@@ -126,16 +186,7 @@ def lower_bound_all(
     method: str = TIGHT_MONOTONE,
 ) -> np.ndarray:
     """Certified lower bounds of every class score over the epsilon-ball."""
-    _check_args(spec, epsilon, method)
-    logits = np.asarray(logits, dtype=float)
-    shift = lipschitz_product * epsilon
-    if method == GLOBAL_LIPSCHITZ:
-        s = score_all(spec, logits)
-        return np.clip(s - spec.score_lipschitz * shift, 0.0, 1.0)
-    if spec.kind == LAC_SIGMOID:
-        # score decreases in the target logit: worst (lowest) at logit + shift
-        return 1.0 - _sigmoid((logits + shift - spec.bias) / spec.temperature)
-    return _softmax_corner_scores(spec, logits, shift, lower=True)
+    return _ball_bound(spec, logits, epsilon, lipschitz_product, method, 1.0)
 
 
 def upper_bound_all(
@@ -146,58 +197,18 @@ def upper_bound_all(
     method: str = TIGHT_MONOTONE,
 ) -> np.ndarray:
     """Certified upper bounds of every class score over the epsilon-ball."""
-    _check_args(spec, epsilon, method)
-    logits = np.asarray(logits, dtype=float)
-    shift = lipschitz_product * epsilon
-    if method == GLOBAL_LIPSCHITZ:
-        s = score_all(spec, logits)
-        return np.clip(s + spec.score_lipschitz * shift, 0.0, 1.0)
-    if spec.kind == LAC_SIGMOID:
-        return 1.0 - _sigmoid((logits - shift - spec.bias) / spec.temperature)
-    return _softmax_corner_scores(spec, logits, shift, lower=False)
+    return _ball_bound(spec, logits, epsilon, lipschitz_product, method, -1.0)
 
 
-def _softmax_corner_scores(
-    spec: ScoreSpec, logits: np.ndarray, shift: float, lower: bool
-) -> np.ndarray:
-    """Per-class corner bounds for the softmax score.
-
-    The softmax in class y is monotone increasing in logit y and decreasing
-    in every other logit, so its extremum over the box [l - shift, l + shift]
-    sits at the corner where logit y moves one way and all others the
-    opposite way.
-    """
-    logits = np.asarray(logits, dtype=float)
-    batched = logits.ndim == 2
-    l2 = logits if batched else logits[None, :]
-    n, c = l2.shape
-    sign = 1.0 if lower else -1.0
-    # corner logits for target y: all classes shifted by -sign*shift except
-    # y shifted by +sign*shift
-    corner = np.tile((l2[:, None, :] - sign * shift) / spec.temperature, (1, c, 1))
-    idx = np.arange(c)
-    corner[:, idx, idx] = (l2 + sign * shift) / spec.temperature
-    probs = _softmax(corner)  # (n, c, c); row y is the corner for target y
-    out = 1.0 - probs[:, idx, idx]
-    return out if batched else out[0]
-
-
-def _check_args(spec: ScoreSpec, epsilon: float, method: str) -> None:
+def _ball_bound(spec, logits, epsilon, lipschitz_product, method, sign):
+    """The lower (sign 1) or upper (sign -1) bound of `method`."""
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    if method not in (GLOBAL_LIPSCHITZ, TIGHT_MONOTONE):
+    logits = np.asarray(logits, dtype=float)
+    shift = sign * lipschitz_product * epsilon
+    if method == TIGHT_MONOTONE:
+        return _bound(spec, logits, shift)
+    if method != GLOBAL_LIPSCHITZ:
         raise ValueError(f"unknown bound method {method!r}")
-    if method == GLOBAL_LIPSCHITZ and spec.kind != LAC_SIGMOID:
-        raise UnsupportedMethodError(
-            "global Lipschitz bound is only defined for the sigmoid score; "
-            "use the tight_monotone bound for softmax"
-        )
-
-
-def sigmoid_inverse_threshold(spec: ScoreSpec, q: float) -> float:
-    """The unique logit whose sigmoid score equals q: b + T * logit(1 - q)."""
-    if spec.kind != LAC_SIGMOID:
-        raise UnsupportedMethodError("threshold inversion needs a sigmoid score")
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q must lie in (0, 1), got {q}")
-    return spec.bias + spec.temperature * float(np.log((1.0 - q) / q))
+    lip = spec.score_lipschitz  # raises for softmax, which has no global constant
+    return np.clip(score_all(spec, logits) - lip * shift, 0.0, 1.0)

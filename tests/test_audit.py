@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liprcp.audit import (
     APPENDIX_CORRECTED,
@@ -17,7 +21,13 @@ from liprcp.audit import (
 )
 from liprcp.conformal import CalibrationRecord
 from liprcp.robust import conservative_membership, restrictive_membership
-from liprcp.scores import GLOBAL_LIPSCHITZ, TIGHT_MONOTONE, ScoreSpec, score_all
+from liprcp.scores import (
+    GLOBAL_LIPSCHITZ,
+    LAC_SOFTMAX,
+    TIGHT_MONOTONE,
+    ScoreSpec,
+    score_all,
+)
 
 
 def make_record(q=0.5, lip=1.0, spec=None):
@@ -97,11 +107,100 @@ class TestCriticalEpsilons:
         finite = np.isfinite(glob.exit)
         assert np.all(tight.exit[finite] >= glob.exit[finite] - 1e-12)
 
-    def test_degenerate_quantile_falls_back(self):
-        rec = make_record(q=1.0)
-        with pytest.warns(RuntimeWarning):
-            crit = critical_epsilons(rec, np.array([0.2, 0.8]), TIGHT_MONOTONE)
-        assert crit.method == GLOBAL_LIPSCHITZ
+    def test_softmax_flip_budgets_match_set_membership(self):
+        rng = np.random.default_rng(31)
+        spec = ScoreSpec(kind=LAC_SOFTMAX, temperature=0.7)
+        rec = make_record(q=0.55, lip=1.3, spec=spec)
+        logits = rng.standard_normal((80, 5)) * 2
+        labels = rng.integers(0, 5, size=80)
+        crit = critical_epsilons(rec, score_all(spec, logits)[np.arange(80), labels])
+        idx = np.arange(80)
+        tick = 1e-6
+        for eps, budget in ((crit.entry, "entry"), (crit.exit, "exit")):
+            eps = np.where(np.isfinite(eps), eps, 0.0)
+            for step in (-tick, tick):
+                at = np.maximum(eps + step, 0.0)
+                for i in range(80):
+                    lg = logits[i : i + 1]
+                    if budget == "entry":
+                        member = conservative_membership(rec, lg, at[i])[0, labels[i]]
+                        assert member == (crit.entry[i] <= at[i]), (i, step)
+                    else:
+                        member = restrictive_membership(rec, lg, at[i])[0, labels[i]]
+                        assert member == (crit.exit[i] >= at[i]), (i, step)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1.05])
+    def test_degenerate_quantile_gives_infinite_budgets(self, q):
+        # q above 1 comes from a robust-calibrated record
+        rec = make_record(q=q)
+        s = np.array([0.0, 1e-20, 0.2, 0.8, 1.0 - 1e-12])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            crit = critical_epsilons(rec, s, TIGHT_MONOTONE)
+        assert crit.method == TIGHT_MONOTONE
+        if q == 0.0:
+            # only a zero score is covered, and only at epsilon 0; a score
+            # too close to 0 to widen gets the entry nearest 0, not nan
+            tiny = np.nextafter(0.0, 1.0)
+            np.testing.assert_array_equal(crit.entry, [0.0, tiny] + [np.inf] * 3)
+            np.testing.assert_array_equal(crit.exit, [0.0] + [NEVER] * 4)
+        else:
+            np.testing.assert_array_equal(crit.entry, np.zeros(5))
+            np.testing.assert_array_equal(crit.exit, np.full(5, np.inf))
+
+    def test_tiny_quantile_keeps_entries_finite(self):
+        # an odds ratio past the float range must not turn into an infinite,
+        # overstated entry budget
+        mp = pytest.importorskip("mpmath")
+        mp.mp.prec = 200
+        s = np.array([0.5, 1.0 - 2.0**-53])
+        for q in (1e-300, 1e-310, 5e-324):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                entry = critical_epsilons(make_record(q=q), s).entry
+            for si, ei in zip(s, entry):
+                odds = (1 - mp.mpf(q)) * mp.mpf(si) / (mp.mpf(q) * (1 - mp.mpf(si)))
+                assert 0.0 < ei <= mp.log(odds), (q, si)
+
+    @pytest.mark.parametrize("logit,temperature", [(40.0, 1.0), (4.0, 0.1)])
+    def test_label_still_covered_at_its_exit(self, logit, temperature):
+        # the score of a confident logit rounds to 0; its exit must still be
+        # one at which the label is in the restrictive set
+        spec = ScoreSpec(temperature=temperature)
+        rec = make_record(q=0.3, spec=spec)
+        logits = np.array([[logit, 0.0]])
+        crit = critical_epsilons(rec, score_all(spec, logits)[:, 0])
+        true_exit = logit - temperature * np.log(0.7 / 0.3)
+        assert 0.0 < crit.exit[0] <= true_exit
+        assert restrictive_membership(rec, logits, crit.exit[0])[0, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        z=st.floats(-60, 60),
+        temperature=st.floats(0.05, 5),
+        bias=st.floats(-3, 3),
+        q=st.floats(1e-12, 1 - 1e-12),
+        lip=st.sampled_from([1.0, 0.37, 2.9]),
+    )
+    def test_budgets_never_overstate_mpmath(self, z, temperature, bias, q, lip):
+        # the side of 0 follows the computed score, as vanilla membership
+        # does; each budget's size must not exceed the 200-bit value
+        mp = pytest.importorskip("mpmath")
+        mp.mp.prec = 200
+        spec = ScoreSpec(temperature=temperature, bias=bias)
+        rec = make_record(q=q, lip=lip, spec=spec)
+        s = score_all(spec, np.array([[z]]))[:, 0]
+        crit = critical_epsilons(rec, s)
+        odds = (1 - mp.mpf(q)) / mp.mpf(q)
+        threshold = mp.mpf(bias) + mp.mpf(temperature) * mp.log(odds)
+        exit_true = (mp.mpf(z) - threshold) / mp.mpf(lip)
+        tiny = np.nextafter(0.0, 1.0)
+        if s[0] <= q:
+            assert crit.entry[0] == 0.0
+            assert 0.0 <= crit.exit[0] <= max(exit_true, 0)
+        else:
+            assert crit.exit[0] == NEVER
+            assert tiny <= crit.entry[0] <= max(-exit_true, tiny)
 
 
 class TestCoverageCurves:

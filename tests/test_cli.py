@@ -193,6 +193,27 @@ class TestPipeline:
         assert doc["grid_points"] == 3
         assert doc["band_escapes"] == 0
 
+    def test_softmax_record_through_audit_and_attack_eval(self, workspace, capsys):
+        tmp = workspace["tmp"]
+        common = ["--data", str(workspace["eval"]), "--model", str(workspace["model"])]
+        record = str(tmp / "softmax.json")
+        commands = [
+            ["calibrate", *common, "--out", record, "--alpha", "0.1",
+             "--score-kind", "lac_softmax", "--temperature", "0.5"],
+            ["robust-predict", *common, "--record", record,
+             "--out", str(tmp / "rsets.csv"), "--epsilon", "0.25", "--check"],
+            ["audit", *common, "--record", record, "--out", str(tmp / "band.csv"),
+             "--check"],
+            ["attack-eval", *common, "--eval-data", str(workspace["eval"]),
+             "--record", record, "--out", str(tmp / "attack.csv"),
+             "--epsilon-grid", "0.0,0.25,0.5", "--attack-steps", "10", "--seed", "7",
+             "--check"],
+        ]
+        for argv in commands:
+            code, stdout, stderr = run(argv, capsys)
+            assert code == 0, (argv[0], stderr)
+        assert last_json(stdout)["band_escapes"] == 0
+
     def test_attack_eval_columns_follow_their_files(self, workspace, capsys):
         # the band comes from --eval-data and mean_set_size from --data,
         # whether the two flags name one file (loaded once) or two; at

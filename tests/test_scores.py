@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,9 @@ from liprcp.scores import (
     ScoreSpec,
     UnsupportedMethodError,
     lower_bound_all,
+    _margins,
+    margin_gap,
     score,
-    sigmoid_inverse_threshold,
     upper_bound_all,
 )
 
@@ -155,20 +159,106 @@ class TestSoundnessSampling:
 
 
 class TestInverseThreshold:
+    """`margin_gap(spec, s, 0.5)` is the margin of score s less the offset."""
+
     def test_half(self):
-        assert sigmoid_inverse_threshold(SIGMOID, 0.5) == pytest.approx(0.0)
+        for spec in (SIGMOID, SOFTMAX):
+            assert margin_gap(spec, 0.5, 0.5) == 0.0
 
     def test_quarter(self):
-        assert sigmoid_inverse_threshold(SIGMOID, 0.25) == pytest.approx(np.log(3.0))
+        assert margin_gap(SIGMOID, 0.25, 0.5) == pytest.approx(np.log(3.0))
+        # softmax margins run on half the temperature
+        assert margin_gap(SOFTMAX, 0.25, 0.5) == pytest.approx(np.log(3.0) / 2)
 
     @given(st.floats(1e-6, 1 - 1e-6), st.floats(0.1, 5), st.floats(-3, 3))
     @settings(max_examples=50)
     def test_round_trip(self, q, temp, bias):
         spec = ScoreSpec(temperature=temp, bias=bias)
-        logit = sigmoid_inverse_threshold(spec, q)
+        logit = bias + margin_gap(spec, q, 0.5)
         assert score(spec, np.array([logit]), 0) == pytest.approx(q, abs=1e-12)
+        # two classes: logits (h, -h) give class 0 the softmax margin h
+        soft = ScoreSpec(kind=LAC_SOFTMAX, temperature=temp)
+        h = margin_gap(soft, q, 0.5)
+        assert score(soft, np.array([h, -h]), 0) == pytest.approx(q, abs=1e-12)
 
     def test_domain(self):
-        for q in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(ValueError):
-                sigmoid_inverse_threshold(SIGMOID, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in (SIGMOID, SOFTMAX):
+                assert margin_gap(spec, 0.0, 0.5) == np.inf
+                assert margin_gap(spec, 1.0, 0.5) == -np.inf
+                assert margin_gap(spec, 0.3, 1.0) == np.inf
+                assert margin_gap(spec, 0.3, 0.0) == -np.inf
+                gaps = margin_gap(spec, np.array([0.0, 0.2, 1.0]), 0.2)
+                np.testing.assert_array_equal(gaps, [np.inf, 0.0, -np.inf])
+
+
+def _softmax_corner_scores(spec, logits, shift, lower):
+    """The corner routine the margin form replaced, kept as an oracle.
+
+    The softmax in class y is monotone increasing in logit y and decreasing
+    in every other logit, so its extremum over the box [l - shift, l + shift]
+    sits at the corner where logit y moves one way and all others the
+    opposite way. Tiles an (n, c, c) array.
+    """
+    n, c = logits.shape
+    sign = 1.0 if lower else -1.0
+    corner = np.tile((logits[:, None, :] - sign * shift) / spec.temperature, (1, c, 1))
+    idx = np.arange(c)
+    corner[:, idx, idx] = (logits + sign * shift) / spec.temperature
+    corner -= corner.max(axis=-1, keepdims=True)
+    probs = np.exp(corner)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return 1.0 - probs[:, idx, idx]
+
+
+class TestSoftmaxMargins:
+    def test_bounds_match_corner_oracle(self):
+        rng = np.random.default_rng(30)
+        for _ in range(60):
+            n, c = int(rng.integers(1, 40)), int(rng.integers(2, 12))
+            spec = ScoreSpec(kind=LAC_SOFTMAX, temperature=float(rng.uniform(0.1, 3.0)))
+            logits = rng.standard_normal((n, c)) * float(rng.uniform(0.1, 6.0))
+            eps, lip = float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.5, 2.0))
+            q = rng.uniform(size=(n, c))
+            for bound, lower in ((lower_bound_all, True), (upper_bound_all, False)):
+                new = bound(spec, logits, eps, lip)
+                old = _softmax_corner_scores(spec, logits, lip * eps, lower)
+                np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(new <= q, old <= q)
+
+    def test_one_row_of_logits(self):
+        logits = np.array([0.4, -1.0, 2.2])
+        batched = upper_bound_all(SOFTMAX, logits[None], 0.3, 1.0)
+        single = upper_bound_all(SOFTMAX, logits, 0.3, 1.0)
+        np.testing.assert_array_equal(single, batched[0])
+
+    @pytest.mark.parametrize("temperature", [0.05, 1.0, 4.0])
+    def test_huge_logit_gaps_stay_finite(self, temperature):
+        spec = ScoreSpec(kind=LAC_SOFTMAX, temperature=temperature)
+        rows = []
+        for g in np.array([0.0, 1.0, 10.0, 1e2, 1e3]) / temperature:
+            # gaps of up to 1e3 / T, with a clear top, a tie at the top and
+            # a tie below it
+            rows += [[0.0, -g, -g, -g], [g, g, 0.0, -g], [0.0, g, 0.0, 0.0]]
+        logits = np.array(rows)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            h = _margins(spec, logits)
+            bounds = [lower_bound_all(spec, logits, 0.5, 1.0),
+                      upper_bound_all(spec, logits, 0.5, 1.0)]
+        assert np.all(np.isfinite(h))
+        for s in bounds:
+            assert np.all((s >= 0.0) & (s <= 1.0))
+        # two classes: each margin is half the logit gap
+        g = 1e3 / temperature
+        pair = _margins(spec, np.array([[0.0, -g]]))
+        np.testing.assert_allclose(pair, [[g / 2, -g / 2]])
+
+    def test_memory_is_linear_in_classes(self):
+        logits = np.random.default_rng(31).standard_normal((20, 500))
+        upper_bound_all(SOFTMAX, logits, 0.1, 1.0)  # warm up
+        tracemalloc.start()
+        upper_bound_all(SOFTMAX, logits, 0.1, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 10 * logits.size * 8
