@@ -241,7 +241,8 @@ def covmin_minus(m: int, miss_count, delta: float):
 
 @dataclass(frozen=True)
 class CertifiedBand:
-    """Simultaneous (over all epsilon) bracket of coverage under attack."""
+    """Simultaneous (over all epsilon) bracket of coverage under attack,
+    with the empirical curves it brackets."""
 
     m: int
     delta: float
@@ -249,6 +250,8 @@ class CertifiedBand:
     lower: StepCurve
     upper: StepCurve
     correction_mode: str
+    covmax: StepCurve
+    covmin: StepCurve
 
     def sidecar(self, extra: dict | None = None) -> str:
         doc = {
@@ -296,4 +299,6 @@ def certified_band(
         lower=StepCurve(covmin.breakpoints, lower_vals, LEFT_CONTINUOUS),
         upper=StepCurve(covmax.breakpoints, upper_vals, RIGHT_CONTINUOUS),
         correction_mode=correction_mode,
+        covmax=covmax,
+        covmin=covmin,
     )

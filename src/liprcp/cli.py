@@ -3,8 +3,9 @@
 One binary, eight subcommands: synth, train, calibrate, predict,
 robust-predict, audit, attack-eval, poison-certify. Every command is a pure
 function of (config file, input files, seed): re-running writes
-byte-identical outputs. Options can come from a key=value config file,
-with command-line flags taking precedence.
+byte-identical outputs. Each command takes only the options it reads
+(`COMMANDS`); they can come from a key=value config file, with
+command-line flags taking precedence.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,10 +58,11 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str | None) -> dict:
-    """Parse a key=value config file against the schema; unknown keys fail."""
+    """Parse a key=value config file against the schema; unknown and
+    repeated keys fail."""
     if path is None:
         return {}
-    cfg = {}
+    cfg, seen = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -70,6 +73,9 @@ def load_config(path: str | None) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
             cfg[key] = _SCHEMA[key](value)
         except ValueError as exc:
@@ -77,23 +83,14 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _opt(args, cfg: dict, key: str, default=None):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return cfg.get(key, default)
+class CheckError(ValueError):
+    """An invariant that --check tests does not hold."""
 
 
-def _score_spec(args, cfg) -> scores.ScoreSpec:
+def _score_spec(opts: dict) -> scores.ScoreSpec:
     return scores.ScoreSpec(
-        kind=_opt(args, cfg, "score_kind", scores.LAC_SIGMOID),
-        temperature=_opt(args, cfg, "temperature", 1.0),
-        bias=_opt(args, cfg, "bias", 0.0),
+        kind=opts["score_kind"], temperature=opts["temperature"], bias=opts["bias"]
     )
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 def _write(path: Path, text: str) -> None:
@@ -130,256 +127,250 @@ def _sets_csv(ids, membership) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_synth(args, cfg) -> dict:
-    seed = _opt(args, cfg, "seed", 0)
+def cmd_synth(opts: dict) -> dict:
     ds = datasets.make_gaussian_mixture(
-        n=_opt(args, cfg, "n", 1000),
-        d=_opt(args, cfg, "d", 8),
-        c=_opt(args, cfg, "c", 4),
-        separation=_opt(args, cfg, "separation", 4.0),
-        seed=seed,
+        n=opts["n"], d=opts["d"], c=opts["c"], separation=opts["separation"],
+        seed=opts["seed"],
     )
-    out = Path(args.out)
+    out = Path(opts["out"])
     datasets.save_csv(ds, out)
     _write(out.with_suffix(".meta.json"), ds.metadata() + "\n")
-    return {"rows": ds.n, "path": str(out), "seed": seed}
+    return {"rows": ds.n, "path": str(out), "seed": opts["seed"]}
 
 
-def cmd_train(args, cfg) -> dict:
-    ds = datasets.load_inputs_csv(args.data)
-    seed = _opt(args, cfg, "seed", 0)
+def cmd_train(opts: dict) -> dict:
+    ds = datasets.load_inputs_csv(opts["data"])
+    seed = opts["seed"]
     d = ds.data.shape[1]
     c = int(ds.labels.max()) + 1
-    dims = [d] + list(_opt(args, cfg, "hidden_dims", [d])) + [c]
+    dims = [d, *(opts["hidden_dims"] or [d]), c]
     layers = [
         lipnet.build_orthogonal(dims[i], dims[i + 1], seed=seed + i)
         for i in range(len(dims) - 1)
     ]
     model = lipnet.LipschitzClassifier(layers=tuple(layers))
     model = lipnet.train_toy(
-        model,
-        ds.data,
-        ds.labels,
-        epochs=_opt(args, cfg, "epochs", 200),
-        lr=_opt(args, cfg, "lr", 0.5),
-        seed=seed,
+        model, ds.data, ds.labels, epochs=opts["epochs"], lr=opts["lr"], seed=seed
     )
-    _write(Path(args.out), lipnet.to_json(model) + "\n")
+    _write(Path(opts["out"]), lipnet.to_json(model) + "\n")
     logits = lipnet.forward(model, ds.data)
     acc = float(np.mean(np.argmax(logits, axis=1) == ds.labels))
     return {
-        "path": args.out,
+        "path": opts["out"],
         "train_accuracy": acc,
         "lipschitz_product": model.lipschitz_product,
     }
 
 
-def cmd_calibrate(args, cfg) -> dict:
-    spec = _score_spec(args, cfg)
-    logits, labels, _, ln = _logits_and_labels(args.data, args.model)
+def cmd_calibrate(opts: dict) -> dict:
+    spec = _score_spec(opts)
+    logits, labels, _, ln = _logits_and_labels(opts["data"], opts["model"])
     cal_scores = scores.score(spec, logits, labels)
-    alpha = _opt(args, cfg, "alpha", 0.1)
-    epsilon = _opt(args, cfg, "epsilon", 0.0)
+    alpha, epsilon = opts["alpha"], opts["epsilon"]
     if epsilon > 0:
         record = robust.robust_calibrate(cal_scores, alpha, epsilon, spec, ln)
     else:
         record = conformal.calibrate(cal_scores, alpha, spec, ln)
-    _write(Path(args.out), record.to_json() + "\n")
-    return {"path": args.out, "q_alpha": record.q_alpha, "n_cal": record.n_cal}
+    _write(Path(opts["out"]), record.to_json() + "\n")
+    return {"path": opts["out"], "q_alpha": record.q_alpha, "n_cal": record.n_cal}
 
 
 def _load_record(path: str) -> conformal.CalibrationRecord:
     return conformal.CalibrationRecord.from_json(Path(path).read_text())
 
 
-def cmd_predict(args, cfg) -> dict:
-    record = _load_record(args.record)
-    logits, labels, ids, _ = _logits_and_labels(args.data, args.model)
+def cmd_predict(opts: dict) -> dict:
+    record = _load_record(opts["record"])
+    logits, labels, ids, _ = _logits_and_labels(opts["data"], opts["model"])
     membership = conformal.vanilla_membership(record, logits)
-    _write(Path(args.out), _sets_csv(ids, membership))
+    _write(Path(opts["out"]), _sets_csv(ids, membership))
     return {
-        "path": args.out,
+        "path": opts["out"],
         "coverage": conformal.coverage_from_membership(membership, labels),
         "mean_set_size": float(membership.sum(axis=1).mean()),
     }
 
 
-def cmd_robust_predict(args, cfg) -> dict:
-    record = _load_record(args.record)
-    logits, labels, ids, _ = _logits_and_labels(args.data, args.model)
-    epsilon = _opt(args, cfg, "epsilon", 0.0)
-    method = _opt(args, cfg, "bound_method", scores.TIGHT_MONOTONE)
+def cmd_robust_predict(opts: dict) -> dict:
+    record = _load_record(opts["record"])
+    logits, labels, ids, _ = _logits_and_labels(opts["data"], opts["model"])
+    epsilon, method = opts["epsilon"], opts["bound_method"]
     membership = robust.conservative_membership(record, logits, epsilon, method)
-    if args.check:
+    if opts["check"]:
         vanilla = conformal.vanilla_membership(record, logits)
         restrict = robust.restrictive_membership(record, logits, epsilon, method)
         if not (np.all(vanilla <= membership) and np.all(restrict <= vanilla)):
-            raise SystemExit("invariant violated: set nesting")
-    _write(Path(args.out), _sets_csv(ids, membership))
+            raise CheckError("invariant violated: set nesting")
+    _write(Path(opts["out"]), _sets_csv(ids, membership))
     return {
-        "path": args.out,
+        "path": opts["out"],
         "epsilon": epsilon,
         "coverage": conformal.coverage_from_membership(membership, labels),
         "mean_set_size": float(membership.sum(axis=1).mean()),
     }
 
 
-def _band_rows(band: audit.CertifiedBand, covmax, covmin) -> str:
-    grid = np.unique(
-        np.concatenate([[0.0], covmax.breakpoints, covmin.breakpoints])
-    )
+def _band(opts: dict, record, logits, labels) -> audit.CertifiedBand:
+    """The certified band of `record` on labelled logits (audit, attack-eval)."""
+    eval_scores = scores.score(record.score_spec, logits, labels)
+    crit = audit.critical_epsilons(record, eval_scores, opts["bound_method"])
+    return audit.certified_band(crit, opts["delta"], opts["correction_mode"])
+
+
+def _band_rows(band: audit.CertifiedBand) -> str:
+    covmax, covmin = band.covmax, band.covmin
+    grid = np.unique(np.concatenate([[0.0], covmax.breakpoints, covmin.breakpoints]))
     columns = [grid, band.lower(grid), covmin(grid), covmax(grid), band.upper(grid)]
     lines = ["epsilon,covmin_minus,covmin_emp,covmax_emp,covmax_plus"]
     lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"
 
 
-def cmd_audit(args, cfg) -> dict:
-    record = _load_record(args.record)
-    logits, labels, _, _ = _logits_and_labels(args.data, args.model)
-    eval_scores = scores.score(record.score_spec, logits, labels)
-    method = _opt(args, cfg, "bound_method", scores.TIGHT_MONOTONE)
-    delta = _opt(args, cfg, "delta", 0.1)
-    mode = _opt(args, cfg, "correction_mode", audit.APPENDIX_CORRECTED)
-    crit = audit.critical_epsilons(record, eval_scores, method)
-    band = audit.certified_band(crit, delta, mode)
-    covmax, covmin = audit.coverage_curves(crit)
-    if args.check:
+def cmd_audit(opts: dict) -> dict:
+    record = _load_record(opts["record"])
+    logits, labels, _, _ = _logits_and_labels(opts["data"], opts["model"])
+    band = _band(opts, record, logits, labels)
+    covmax, covmin = band.covmax, band.covmin
+    if opts["check"]:
         grid = np.concatenate([[0.0], covmax.breakpoints, covmin.breakpoints])
         ok = np.all(band.lower(grid) <= band.upper(grid)) and np.all(
             covmin(grid) <= covmax(grid) + 1e-12
         )
         if not ok:
-            raise SystemExit("invariant violated: band sandwich")
-    out = Path(args.out)
-    _write(out, _band_rows(band, covmax, covmin))
+            raise CheckError("invariant violated: band sandwich")
+    out = Path(opts["out"])
+    _write(out, _band_rows(band))
     sidecar = band.sidecar({"alpha": record.alpha, "q_alpha": record.q_alpha})
     _write(out.with_suffix(".meta.json"), sidecar + "\n")
     return {
         "path": str(out),
         "m": band.m,
-        "delta": delta,
+        "delta": opts["delta"],
         "breakpoints": int(covmax.breakpoints.size + covmin.breakpoints.size),
     }
 
 
-def cmd_attack_eval(args, cfg) -> dict:
-    record = _load_record(args.record)
-    model = lipnet.from_json(Path(args.model).read_text())
-    test = datasets.load_inputs_csv(args.data)
-    shared = Path(args.eval_data).resolve() == Path(args.data).resolve()
-    eval_ds = test if shared else datasets.load_inputs_csv(args.eval_data)
-    eval_logits = lipnet.forward(model, eval_ds.data)
-    eval_scores = scores.score(record.score_spec, eval_logits, eval_ds.labels)
-    method = _opt(args, cfg, "bound_method", scores.TIGHT_MONOTONE)
-    crit = audit.critical_epsilons(record, eval_scores, method)
-    band = audit.certified_band(
-        crit,
-        _opt(args, cfg, "delta", 0.1),
-        _opt(args, cfg, "correction_mode", audit.APPENDIX_CORRECTED),
-    )
-    grid = _opt(args, cfg, "epsilon_grid", None)
-    if grid is None:
-        grid = [_opt(args, cfg, "epsilon", 0.25)]
-    seed = _opt(args, cfg, "seed", 0)
+def cmd_attack_eval(opts: dict) -> dict:
+    record = _load_record(opts["record"])
+    model = lipnet.from_json(Path(opts["model"]).read_text())
+    test = datasets.load_inputs_csv(opts["data"])
+    shared = Path(opts["eval_data"]).resolve() == Path(opts["data"]).resolve()
+    eval_ds = test if shared else datasets.load_inputs_csv(opts["eval_data"])
+    band = _band(opts, record, lipnet.forward(model, eval_ds.data), eval_ds.labels)
+    grid = opts["epsilon_grid"]
     lines = ["epsilon,coverage_under_attack,mean_set_size,band_lower,band_upper"]
     escapes = 0
     for eps in grid:
         acfg = attack.AttackConfig(
             epsilon=eps,
-            steps=_opt(args, cfg, "attack_steps", 40),
-            step_size=_opt(args, cfg, "attack_step_size", None),
-            restarts=_opt(args, cfg, "attack_restarts", 3),
-            seed=seed,
+            steps=opts["attack_steps"],
+            step_size=opts["attack_step_size"],
+            restarts=opts["attack_restarts"],
+            seed=opts["seed"],
         )
         cov, size = attack.coverage_under_attack(
             model, record, test.data, test.labels, acfg
         )
         lo, hi = float(band.lower(eps)), float(band.upper(eps))
-        if not (lo <= cov <= hi):
-            escapes += 1
-        lines.append(
-            ",".join(
-                [
-                    _fmt(eps),
-                    _fmt(cov),
-                    _fmt(size),
-                    _fmt(lo),
-                    _fmt(hi),
-                ]
-            )
-        )
-    _write(Path(args.out), "\n".join(lines) + "\n")
-    if args.check and escapes:
-        raise SystemExit(f"invariant violated: {escapes} grid points escape the band")
-    return {"path": args.out, "grid_points": len(grid), "band_escapes": escapes}
+        escapes += not (lo <= cov <= hi)
+        lines.append(",".join(map(repr, (eps, cov, size, lo, hi))))
+    _write(Path(opts["out"]), "\n".join(lines) + "\n")
+    if opts["check"] and escapes:
+        raise CheckError(f"invariant violated: {escapes} grid points escape the band")
+    return {"path": opts["out"], "grid_points": len(grid), "band_escapes": escapes}
 
 
-def cmd_poison_certify(args, cfg) -> dict:
-    spec = _score_spec(args, cfg)
-    logits, labels, _, ln = _logits_and_labels(args.data, args.model)
+def cmd_poison_certify(opts: dict) -> dict:
+    spec = _score_spec(opts)
+    logits, labels, _, ln = _logits_and_labels(opts["data"], opts["model"])
     cal_scores = scores.score(spec, logits, labels)
     budget = poison.PoisonBudget(
-        k=_opt(args, cfg, "k", 0),
-        epsilon=_opt(args, cfg, "epsilon", 0.0),
+        k=opts["k"],
+        epsilon=opts["epsilon"],
         lipschitz_product=ln,
         score_lipschitz=spec.score_lipschitz,
     )
-    cert = poison.quantile_shift(
-        cal_scores, _opt(args, cfg, "alpha", 0.1), budget, clip_range=(0.0, 1.0)
-    )
-    _write(Path(args.out), cert.to_json() + "\n")
+    cert = poison.quantile_shift(cal_scores, opts["alpha"], budget, clip_range=(0.0, 1.0))
+    _write(Path(opts["out"]), cert.to_json() + "\n")
     return {
-        "path": args.out,
+        "path": opts["out"],
         "q_min": cert.q_min,
         "q_max": cert.q_max,
         "q_nominal": cert.q_nominal,
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="liprcp",
-        description="Certifiably robust conformal prediction toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Command(NamedTuple):
+    """A subcommand: its function, its file arguments (name -> required) and
+    the option keys it reads with their defaults. None is worked out from the
+    inputs: one hidden layer as wide as the data, a PGD step of epsilon / 4."""
 
-    def add(name, fn, *, data=False, model=False, record=False, eval_data=False):
-        p = sub.add_parser(name)
+    fn: Callable[[dict], dict]
+    files: dict
+    options: dict
+
+
+_LOGITS = {"data": True, "model": False}  # precomputed logits need no model
+_SETS = {**_LOGITS, "record": True}
+_SPEC = {"score_kind": scores.LAC_SIGMOID, "temperature": 1.0, "bias": 0.0}
+_BAND = {"bound_method": scores.TIGHT_MONOTONE, "delta": 0.1,
+         "correction_mode": audit.APPENDIX_CORRECTED}
+_ATTACK = {"epsilon_grid": [0.25], "seed": 0, "attack_steps": 40,
+           "attack_step_size": None, "attack_restarts": 3}
+
+COMMANDS = {
+    "synth": Command(cmd_synth, {}, {"seed": 0, "n": 1000, "d": 8, "c": 4,
+                                     "separation": 4.0}),
+    "train": Command(cmd_train, {"data": True}, {"seed": 0, "hidden_dims": None,
+                                                 "epochs": 200, "lr": 0.5}),
+    "calibrate": Command(cmd_calibrate, _LOGITS, {**_SPEC, "alpha": 0.1, "epsilon": 0.0}),
+    "predict": Command(cmd_predict, _SETS, {}),
+    "robust-predict": Command(cmd_robust_predict, _SETS,
+                              {"epsilon": 0.0, "bound_method": scores.TIGHT_MONOTONE}),
+    "audit": Command(cmd_audit, _SETS, _BAND),
+    "attack-eval": Command(cmd_attack_eval, {**_SETS, "model": True, "eval_data": True},
+                           {**_BAND, **_ATTACK}),
+    "poison-certify": Command(cmd_poison_certify, _LOGITS,
+                              {**_SPEC, "alpha": 0.1, "epsilon": 0.0, "k": 0}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError for main to print as JSON; the
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: attack-eval would read --epsilon as --epsilon-grid
+    parser = _Parser(prog="liprcp", allow_abbrev=False,
+                     description="Certifiably robust conformal prediction toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None)
         p.add_argument("--out", required=True)
         p.add_argument("--check", action="store_true")
-        if data:
-            p.add_argument("--data", required=True)
-        if model:
-            p.add_argument("--model", default=None)
-        if record:
-            p.add_argument("--record", required=True)
-        if eval_data:
-            p.add_argument("--eval-data", dest="eval_data", required=True)
-        for key, kind in _SCHEMA.items():
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, type=kind, default=None, dest=key)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("synth", cmd_synth)
-    add("train", cmd_train, data=True)
-    add("calibrate", cmd_calibrate, data=True, model=True)
-    add("predict", cmd_predict, data=True, model=True, record=True)
-    add("robust-predict", cmd_robust_predict, data=True, model=True, record=True)
-    add("audit", cmd_audit, data=True, model=True, record=True)
-    attack_p = add("attack-eval", cmd_attack_eval, data=True, record=True, eval_data=True)
-    attack_p.add_argument("--model", required=True)
-    add("poison-certify", cmd_poison_certify, data=True, model=True)
+        for key, required in command.files.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, required=required)
+        for key in command.options:  # absent unless given, so they override
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_SCHEMA[key],
+                           default=argparse.SUPPRESS)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        summary = args.fn(args, cfg)
+        args = vars(build_parser().parse_args(argv))
+        name, cfg = args["command"], load_config(args["config"])
+        command = COMMANDS[name]
+        for key in cfg:
+            if key not in command.options:
+                raise ConfigError(f"{args['config']}: {name} does not read {key!r}")
+        # defaults, then the config file, then flags
+        summary = command.fn({**command.options, **cfg, **args})
     except (ConfigError, datasets.CsvFormatError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

@@ -80,10 +80,117 @@ class TestConfig:
         cfg = tmp_path / "cfg"
         cfg.write_text("alpha=banana\n")
         code, _, stderr = run(
-            ["synth", "--config", str(cfg), "--out", str(tmp_path / "x.csv")], capsys
+            ["calibrate", "--config", str(cfg), "--data", str(tmp_path / "d.csv"),
+             "--out", str(tmp_path / "x.json")], capsys
         )
         assert code == 1
-        assert "alpha" in stderr
+        assert "bad value for alpha" in json.loads(stderr)["error"]
+
+    def test_repeated_key_rejected(self, tmp_path):
+        p = tmp_path / "cfg"
+        p.write_text("alpha=0.1\n# comment\nalpha=0.2\n")
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.load_config(str(p))
+        assert str(exc.value) == f"{p}:3: key 'alpha' repeats line 1"
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _file_args(command, tmp_path):
+    """The command's file arguments, all pointing at files that do not exist."""
+    argv = [command, "--out", str(tmp_path / "out")]
+    for key in cli.COMMANDS[command].files:
+        argv += [_flag(key), str(tmp_path / key)]
+    return argv
+
+
+class TestOptionSets:
+    """Each command takes only the option keys it reads, as flags or config keys."""
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(name, key) for name, c in cli.COMMANDS.items() for key in cli._SCHEMA
+         if key not in c.options],
+    )
+    def test_unread_key_rejected(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key}=1\n")  # "1" parses for every key
+        for extra, named in [([_flag(key), "1"], _flag(key)),
+                             (["--config", str(cfg)], repr(key))]:
+            code, stdout, stderr = run(_file_args(command, tmp_path) + extra, capsys)
+            assert (code, stdout) == (1, "")
+            assert named in json.loads(stderr)["error"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synth", "--out", "x.csv", "--n", "banana"], "argument --n: invalid int"),
+            (["train", "--out", "m.json"], "required: --data"),
+            (["attack-eval", "--out", "a.csv", "--data", "d", "--eval-data", "d",
+              "--record", "r"], "required: --model"),
+            (["synth", "--out", "x.csv", "--sep", "3"], "unrecognized arguments: --sep"),
+            (["robust-predict", "--out", "x.csv", "--data", "d", "--record", "r",
+              "--alpha", "0.2"], "unrecognized arguments: --alpha"),
+            ([], "required: command"),
+        ],
+        ids=["bad-value", "no-data", "no-model", "abbreviation", "unread-flag",
+             "no-command"],
+    )
+    def test_parser_error_is_json(self, capsys, argv, message):
+        code, stdout, stderr = run(argv, capsys)
+        assert (code, stdout) == (1, "")
+        assert message in json.loads(stderr)["error"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["audit", "--help"])
+        assert exc.value.code == 0
+        assert "--correction-mode" in capsys.readouterr().out
+
+
+# every command's options at their defaults, spelled out; hidden_dims is the
+# data's width (4) and the PGD step is epsilon / 4
+_SPELLED_DEFAULTS = {
+    "synth": ["--seed", "0", "--n", "1000", "--d", "8", "--c", "4",
+              "--separation", "4.0"],
+    "train": ["--seed", "0", "--hidden-dims", "4", "--epochs", "200", "--lr", "0.5"],
+    "calibrate": ["--score-kind", "lac_sigmoid", "--temperature", "1.0", "--bias", "0.0",
+                  "--alpha", "0.1", "--epsilon", "0.0"],
+    "predict": [],
+    "robust-predict": ["--epsilon", "0.0", "--bound-method", "tight_monotone"],
+    "audit": ["--bound-method", "tight_monotone", "--delta", "0.1",
+              "--correction-mode", "appendix_corrected"],
+    "attack-eval": ["--bound-method", "tight_monotone", "--delta", "0.1",
+                    "--correction-mode", "appendix_corrected", "--epsilon-grid", "0.25",
+                    "--seed", "0", "--attack-steps", "40", "--attack-step-size", "0.0625",
+                    "--attack-restarts", "3"],
+    "poison-certify": ["--score-kind", "lac_sigmoid", "--temperature", "1.0",
+                       "--bias", "0.0", "--alpha", "0.1", "--epsilon", "0.0", "--k", "0"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_defaults_match_spelled_out_flags(workspace, capsys, command):
+    # the spelled-out flags are exactly the command's keys, no more
+    options = cli.COMMANDS[command].options
+    assert _SPELLED_DEFAULTS[command][::2] == [_flag(key) for key in options]
+    files = {"data": workspace["eval"], "eval_data": workspace["eval"],
+             "model": workspace["model"], "record": workspace["record"]}
+    written = []
+    for name, extra in [("bare", []), ("spelled", _SPELLED_DEFAULTS[command])]:
+        out = workspace["tmp"] / name / "out.txt"
+        out.parent.mkdir()
+        argv = [command, "--out", str(out), *extra]
+        for key in cli.COMMANDS[command].files:
+            argv += [_flag(key), str(files[key])]
+        code, _, stderr = run(argv, capsys)
+        assert code == 0, stderr
+        written.append({f.name: f.read_bytes() for f in out.parent.iterdir()})
+    assert written[0] == written[1]
+    assert "out.txt" in written[0]
 
 
 class TestMissingFiles:
@@ -302,6 +409,59 @@ class TestPipeline:
         assert code == 1
         assert stdout == ""
         assert "alpha" in json.loads(stderr)["error"]
+
+
+class TestCheckFailures:
+    """A violated --check invariant is a JSON error with exit 1."""
+
+    def sets_argv(self, workspace, command, out):
+        return [command, "--data", str(workspace["eval"]), "--model",
+                str(workspace["model"]), "--record", str(workspace["record"]),
+                "--out", str(workspace["tmp"] / out), "--check"]
+
+    def test_robust_predict_nesting(self, workspace, capsys, monkeypatch):
+        # an empty conservative set cannot contain the vanilla one
+        monkeypatch.setattr(cli.robust, "conservative_membership",
+                            lambda record, logits, *_: np.zeros(logits.shape, bool))
+        code, stdout, stderr = run(
+            self.sets_argv(workspace, "robust-predict", "rsets.csv"), capsys
+        )
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr) == {"error": "invariant violated: set nesting"}
+        assert not (workspace["tmp"] / "rsets.csv").exists()
+
+    def test_audit_sandwich(self, workspace, capsys, monkeypatch):
+        # swapped empirical curves put covmin above covmax
+        curves = cli.audit.coverage_curves
+        monkeypatch.setattr(cli.audit, "coverage_curves", lambda crit: curves(crit)[::-1])
+        code, stdout, stderr = run(self.sets_argv(workspace, "audit", "band.csv"), capsys)
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr) == {"error": "invariant violated: band sandwich"}
+        assert not (workspace["tmp"] / "band.csv").exists()
+
+    def test_attack_eval_escape(self, workspace, capsys):
+        # a record that understates the Lipschitz product a billionfold
+        # certifies a band that stays flat, and PGD escapes it
+        doc = json.loads(workspace["record"].read_text())
+        doc["lipschitz_product"] = 1e-9
+        record = workspace["tmp"] / "understated.json"
+        record.write_text(json.dumps(doc))
+        out = workspace["tmp"] / "attack.csv"
+        argv = ["attack-eval", "--data", str(workspace["eval"]),
+                "--eval-data", str(workspace["eval"]), "--model", str(workspace["model"]),
+                "--record", str(record), "--out", str(out),
+                "--epsilon-grid", "0.0,2.0", "--attack-steps", "10", "--seed", "4"]
+        code, stdout, _ = run(argv, capsys)
+        assert code == 0
+        assert last_json(stdout)["band_escapes"] == 1
+        unchecked = out.read_bytes()
+        out.unlink()
+        code, stdout, stderr = run(argv + ["--check"], capsys)
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr) == {
+            "error": "invariant violated: 1 grid points escape the band"
+        }
+        assert out.read_bytes() == unchecked  # written before the check fails
 
 
 def _layer_doc(**override):
