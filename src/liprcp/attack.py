@@ -14,7 +14,7 @@ import numpy as np
 
 from .audit import critical_epsilons
 from .conformal import CalibrationRecord, coverage_from_membership, vanilla_membership
-from .lipnet import LipschitzClassifier, forward, input_gradient_batch
+from .lipnet import LipschitzClassifier, Trace, forward, input_gradient_batch
 from .rng import substream
 from .scores import score
 
@@ -42,22 +42,39 @@ class AttackConfig:
         return self.step_size if self.step_size is not None else self.epsilon / 4.0
 
 
-def _project_ball(delta: np.ndarray, epsilon: float) -> np.ndarray:
-    norms = np.linalg.norm(delta, axis=-1, keepdims=True)
-    scale = np.minimum(1.0, epsilon / np.maximum(norms, 1e-300))
-    return delta * scale
+# rows per PGD block: a block's trace and work arrays stay cache-resident
+PGD_BLOCK_ROWS = 1024
 
 
-def _pgd_step(model, x, y, delta, signed_step, epsilon) -> np.ndarray:
-    """One normalized gradient step on the true logit, projected to the ball.
+def _row_norms(a: np.ndarray, squares: np.ndarray, out: np.ndarray) -> None:
+    """l2 norm of each row of `a` into `out`, as np.linalg.norm(a, axis=-1).
 
-    A function of its own so that its full-size temporaries are freed
-    before the caller's next allocation.
+    `squares` is a work array of a's shape.
     """
-    grad = input_gradient_batch(model, x + delta, y)
-    norms = np.linalg.norm(grad, axis=-1, keepdims=True)
-    direction = np.where(norms > 0, grad / np.maximum(norms, 1e-300), 0.0)
-    return _project_ball(delta + signed_step * direction, epsilon)
+    np.multiply(a, a, out=squares)
+    np.add.reduce(squares, axis=-1, out=out)
+    np.sqrt(out, out=out)
+
+
+def _project_ball(
+    delta: np.ndarray, epsilon: float, squares: np.ndarray, norms: np.ndarray
+) -> None:
+    """Scale, in place, each row of `delta` longer than `epsilon` onto the ball.
+
+    `squares` and `norms` are work arrays of delta's shape and row count.
+    """
+    _row_norms(delta, squares, norms)
+    np.maximum(norms, 1e-300, out=norms)
+    np.divide(epsilon, norms, out=norms)
+    np.minimum(1.0, norms, out=norms)
+    delta *= norms[:, None]
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """Split n rows into ceil(n / PGD_BLOCK_ROWS) blocks of near-equal size."""
+    count = -(-n // PGD_BLOCK_ROWS)
+    bounds = [k * n // count for k in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def pgd_attack_batch(
@@ -70,8 +87,10 @@ def pgd_attack_batch(
     """Attack a batch of inputs; returns perturbed inputs within the ball.
 
     Maximizing the score means minimizing logits[:, y] and vice versa (for
-    softmax a proxy, since the other logits move too). Zero-gradient steps
-    keep the iterate. Each restart starts from the clean point or a random
+    softmax a proxy, since the other logits move too). Each step moves the
+    perturbation by the step size along the normalized gradient of the
+    true logit and projects it back onto the ball; zero-gradient steps keep
+    the iterate. Each restart starts from the clean point or a random
     point in the ball, and a row's result only moves to a restart's end
     point when it strictly improves the objective, so, up to rounding, no
     row ends worse off than at the clean point.
@@ -85,11 +104,16 @@ def pgd_attack_batch(
     certified rows, whose score bound keeps the label in the set over the
     whole ball, and rows lost at the clean point, which by the property
     above stay lost (for the minimize objective, the mirror images).
+
+    Within a restart the attacked rows run in blocks of at most
+    `PGD_BLOCK_ROWS`, each through all its steps in one preallocated
+    `lipnet.Trace`. Every row's arithmetic is independent of the others',
+    so the result does not depend on the block size.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_1d(y)
     if mask is None:
-        rows = slice(None)
+        rows = np.arange(x.shape[0])
     else:
         mask = np.asarray(mask)
         if mask.dtype != bool or mask.shape != (x.shape[0],):
@@ -98,28 +122,56 @@ def pgd_attack_batch(
     ys = y[rows]
     if cfg.epsilon == 0.0 or cfg.steps == 0 or ys.size == 0:
         return x.copy()
-    # x[rows] is gathered afresh where needed rather than kept as a copy,
-    # so a masked attack holds no more full-size arrays than an unmasked one
+    eps = cfg.epsilon
     sign = -1.0 if cfg.objective == MAXIMIZE_TRUE_SCORE else 1.0
+    signed_step = sign * cfg.effective_step
     rng = substream(cfg.seed, "pgd-restarts")
-    step = cfg.effective_step
+    blocks = _blocks(ys.size)
+    width = max(stop - start for start, stop in blocks)
+    trace = Trace(model, width)
+    delta_buf, inputs_buf, squares_buf = (np.empty((width, x.shape[1])) for _ in range(3))
+    norms_buf = np.empty(width)
     best_delta = np.zeros((ys.size, x.shape[1]))
-    best_logit = forward(model, x[rows])[np.arange(ys.size), ys]
+    best_logit = np.empty(ys.size)
     for restart in range(max(1, cfg.restarts)):
-        if restart == 0:
-            delta = np.zeros_like(best_delta)
-        else:
-            delta = _project_ball(
-                rng.standard_normal(x.shape)[rows] * cfg.epsilon, cfg.epsilon
-            )
-        for _ in range(cfg.steps):
-            delta = _pgd_step(model, x[rows], ys, delta, sign * step, cfg.epsilon)
-        logit = forward(model, x[rows] + delta)[np.arange(ys.size), ys]
-        better = sign * logit > sign * best_logit
-        best_delta[better] = delta[better]
-        best_logit[better] = logit[better]
+        noise = None if restart == 0 else rng.standard_normal(x.shape)
+        for start, stop in blocks:
+            m = stop - start
+            xb, yb, picked = x[rows[start:stop]], ys[start:stop], np.arange(m)
+            delta, inputs = delta_buf[:m], inputs_buf[:m]
+            squares, norms = squares_buf[:m], norms_buf[:m]
+            if noise is None:
+                delta.fill(0.0)
+                best_logit[start:stop] = trace.forward(xb)[picked, yb]
+            else:
+                np.multiply(noise[rows[start:stop]], eps, out=delta)
+                _project_ball(delta, eps, squares, norms)
+            for _ in range(cfg.steps):
+                np.add(xb, delta, out=inputs)
+                grad = input_gradient_batch(model, inputs, yb, trace)
+                # the step direction is grad / |grad|, or 0 where |grad| is
+                # not positive
+                _row_norms(grad, squares, norms)
+                flat = ~(norms > 0)
+                np.maximum(norms, 1e-300, out=norms)
+                grad /= norms[:, None]
+                if flat.any():
+                    grad[flat] = 0.0
+                grad *= signed_step
+                delta += grad
+                _project_ball(delta, eps, squares, norms)
+            np.add(xb, delta, out=inputs)
+            logit = trace.forward(inputs)[picked, yb]
+            better = sign * logit > sign * best_logit[start:stop]
+            best_delta[start:stop][better] = delta[better]
+            best_logit[start:stop][better] = logit[better]
+        noise = None  # freed before the next restart draws its own
     out = x.copy()
-    out[rows] += _project_ball(best_delta, cfg.epsilon)
+    for start, stop in blocks:
+        m = stop - start
+        chosen = best_delta[start:stop]
+        _project_ball(chosen, eps, squares_buf[:m], norms_buf[:m])
+        out[rows[start:stop]] += chosen
     return out
 
 

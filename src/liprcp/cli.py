@@ -27,12 +27,21 @@ import numpy as np
 
 from . import attack, audit, conformal, datasets, lipnet, poison, robust, scores
 
-# every recognized config key and the parser applied to its value
+def comma_separated_floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def comma_separated_ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+# every recognized config key and the parser applied to its value; argparse
+# names a parser's function in its "invalid <name> value" message
 _SCHEMA = {
     "alpha": float,
     "delta": float,
     "epsilon": float,
-    "epsilon_grid": lambda s: [float(v) for v in s.split(",")],
+    "epsilon_grid": comma_separated_floats,
     "score_kind": str,
     "temperature": float,
     "bias": float,
@@ -46,7 +55,7 @@ _SCHEMA = {
     "d": int,
     "c": int,
     "separation": float,
-    "hidden_dims": lambda s: [int(v) for v in s.split(",")],
+    "hidden_dims": comma_separated_ints,
     "epochs": int,
     "lr": float,
     "k": int,
@@ -133,6 +142,7 @@ def cmd_synth(opts: dict) -> dict:
         seed=opts["seed"],
     )
     out = Path(opts["out"])
+    out.parent.mkdir(parents=True, exist_ok=True)
     datasets.save_csv(ds, out)
     _write(out.with_suffix(".meta.json"), ds.metadata() + "\n")
     return {"rows": ds.n, "path": str(out), "seed": opts["seed"]}

@@ -50,7 +50,7 @@ class CalibrationRecord:
                 "epsilon_calibrated")
         doc = require_keys(json.loads(text), keys, "calibration record")
         try:
-            return CalibrationRecord(
+            record = CalibrationRecord(
                 q_alpha=float(doc["q_alpha"]),
                 alpha=float(doc["alpha"]),
                 n_cal=int(doc["n_cal"]),
@@ -60,6 +60,14 @@ class CalibrationRecord:
             )
         except TypeError as exc:  # a value of the wrong JSON type, e.g. null
             raise ValueError(f"calibration record: {exc}") from exc
+        # every certificate scales its budget by the product, so a product
+        # that is not a positive finite number would silently invert them
+        if not (0.0 < record.lipschitz_product < math.inf):
+            raise ValueError(
+                "calibration record: 'lipschitz_product' must be positive and finite,"
+                f" got {record.lipschitz_product}"
+            )
+        return record
 
 
 def conformal_rank(n: int, alpha: float) -> int:

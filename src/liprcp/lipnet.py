@@ -82,34 +82,43 @@ def groupsort2(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
-    d = x.shape[-1]
-    npairs = d // 2
-    a = x[..., 0 : 2 * npairs : 2]
-    b = x[..., 1 : 2 * npairs : 2]
+    _sort_pairs(x, out)
+    return out
+
+
+def _sort_pairs(z: np.ndarray, out: np.ndarray, swaps: np.ndarray | None = None) -> None:
+    """Write groupsort2(z) into `out`; mark the pairs it swapped in `swaps`.
+
+    `swaps` (int64, one entry per pair) gets -1, all bits set, where the
+    pair was out of order and 0 elsewhere: ties and NaN keep the input order.
+    """
+    npairs = z.shape[-1] // 2
+    a = z[..., 0 : 2 * npairs : 2]
+    b = z[..., 1 : 2 * npairs : 2]
+    if swaps is not None:
+        np.greater(a, b, out=swaps)
+        np.negative(swaps, out=swaps)
     np.minimum(a, b, out=out[..., 0 : 2 * npairs : 2])
     np.maximum(a, b, out=out[..., 1 : 2 * npairs : 2])
-    if d % 2:
-        out[..., -1] = x[..., -1]
-    return out
+    if z.shape[-1] % 2:
+        out[..., -1] = z[..., -1]
 
 
-def _groupsort2_swaps(z: np.ndarray) -> np.ndarray:
-    """Boolean mask of pairs swapped by groupsort2 (ties keep input order)."""
-    d = z.shape[-1]
-    npairs = d // 2
-    return z[..., 0 : 2 * npairs : 2] > z[..., 1 : 2 * npairs : 2]
+def _swap_pairs(v: np.ndarray, swaps: np.ndarray, scratch: np.ndarray) -> None:
+    """Exchange, in place, the pairs of `v` that `swaps` marks with -1.
 
-
-def _apply_swaps(v: np.ndarray, swaps: np.ndarray) -> np.ndarray:
-    """Permute `v` with the pairwise swaps recorded in `swaps`.
-
-    One copy of `v`; the swapped entries are then written over it in place.
+    Bit-exact for every value, NaN and signed zeros included: the XOR of a
+    pair's int64 views, masked by `swaps`, is XORed into both halves.
+    `scratch` is an int64 array of the shape of `swaps`.
     """
-    out = v.copy()
     npairs = swaps.shape[-1]
-    np.copyto(out[..., 0 : 2 * npairs : 2], v[..., 1 : 2 * npairs : 2], where=swaps)
-    np.copyto(out[..., 1 : 2 * npairs : 2], v[..., 0 : 2 * npairs : 2], where=swaps)
-    return out
+    bits = v.view(np.int64)
+    a = bits[..., 0 : 2 * npairs : 2]
+    b = bits[..., 1 : 2 * npairs : 2]
+    np.bitwise_xor(a, b, out=scratch)
+    np.bitwise_and(scratch, swaps, out=scratch)
+    np.bitwise_xor(a, scratch, out=a)
+    np.bitwise_xor(b, scratch, out=b)
 
 
 def spectral_norm(weight: np.ndarray) -> float:
@@ -208,38 +217,81 @@ def forward(model: LipschitzClassifier, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _forward_trace(params, x: np.ndarray):
-    """Forward pass over (weight, bias) pairs; records layer inputs and swaps."""
-    inputs = []
-    swaps = []
-    h = np.asarray(x, dtype=float)
-    last = len(params) - 1
-    for i, (weight, bias) in enumerate(params):
-        inputs.append(h)
-        z = h @ weight.T + bias
-        if i < last:
-            swaps.append(_groupsort2_swaps(z))
-            z = groupsort2(z)
-        h = z
-    return h, inputs, swaps
+class Trace:
+    """Preallocated buffers for forward and backward passes through a model.
 
+    Sized for `rows` rows of the model's layer stack. Each hidden layer
+    keeps its GroupSort2 outputs (the next layer's inputs) and its swap
+    masks; the pre-activations, the swap scratch and the backward deltas
+    share buffers across layers, since each is needed for one layer at a
+    time. A pass over m <= rows rows uses the leading m rows of every
+    buffer, so the arrays it returns are views that the next pass
+    overwrites. The passes allocate no array with a row per input row, and
+    they run the same floating-point operations, in the same order, as
+    `forward` (which keeps no trace and frees each layer's arrays as it goes).
 
-def _backward(params, swaps, delta: np.ndarray, inputs=None):
-    """Pull `delta`, the gradient at the logits, back to the network input.
-
-    Also returns each layer's (grad_w, grad_b) when given the trace's layer
-    inputs (else []). At tied pairs the subgradient keeps the input order.
+    `params` holds the (weight, bias) pairs the passes use; training
+    replaces it after every update.
     """
-    grads = []
-    for i in range(len(params) - 1, -1, -1):
-        if i < len(params) - 1:
-            # transpose of a permutation is its inverse; pairwise swaps are
-            # their own inverse
-            delta = _apply_swaps(delta, swaps[i])
-        if inputs is not None:
-            grads.append((delta.T @ inputs[i], delta.sum(axis=0)))
-        delta = delta @ params[i][0]
-    return delta, grads[::-1]
+
+    def __init__(self, model: LipschitzClassifier, rows: int):
+        self.params = [(layer.weight, layer.bias) for layer in model.layers]
+        dims = [model.in_dim] + [layer.out_dim for layer in model.layers]
+        hidden = dims[1:-1]
+        self.post = [np.empty((rows, w)) for w in hidden]
+        self.swaps = [np.empty((rows, w // 2), dtype=np.int64) for w in hidden]
+        self.logits = np.empty((rows, dims[-1]))
+        widest = max(hidden, default=0)
+        self._pre = np.empty(rows * widest)
+        self._scratch = np.empty(rows * (widest // 2), dtype=np.int64)
+        # two deltas are alive at once: a layer's output delta and its input's
+        self._deltas = tuple(np.empty(rows * max(dims[:-1])) for _ in range(2))
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Logits of the rows of `x`, recording what `backward` needs."""
+        m = x.shape[0]
+        h = x
+        last = len(self.params) - 1
+        for i, (weight, bias) in enumerate(self.params):
+            z = self.logits[:m] if i == last else _rows_view(self._pre, m, weight.shape[0])
+            np.matmul(h, weight.T, out=z)
+            z += bias
+            if i < last:
+                h = self.post[i][:m]
+                _sort_pairs(z, h, self.swaps[i][:m])
+        return z
+
+    def backward(self, delta: np.ndarray, x: np.ndarray | None = None):
+        """Pull `delta`, the gradient at the last forward's logits, back.
+
+        Without `x`, returns the gradient at the network input (a view
+        into the trace). With `x`, the input of that forward pass, returns
+        each layer's (grad_w, grad_b) instead. At tied pairs the
+        subgradient keeps the input order.
+        """
+        m = delta.shape[0]
+        grads = []
+        for i in range(len(self.params) - 1, -1, -1):
+            weight = self.params[i][0]
+            if i < len(self.params) - 1:
+                # the transpose of a permutation is its inverse, and
+                # pairwise swaps are their own inverse
+                npairs = self.swaps[i].shape[1]
+                _swap_pairs(delta, self.swaps[i][:m], _rows_view(self._scratch, m, npairs))
+            if x is not None:
+                layer_input = x if i == 0 else self.post[i - 1][:m]
+                grads.append((delta.T @ layer_input, delta.sum(axis=0)))
+                if i == 0:
+                    return grads[::-1]
+            out = _rows_view(self._deltas[i % 2], m, weight.shape[1])
+            np.matmul(delta, weight, out=out)
+            delta = out
+        return delta
+
+
+def _rows_view(flat: np.ndarray, m: int, width: int) -> np.ndarray:
+    """The leading m * width entries of `flat` as a contiguous (m, width) array."""
+    return flat[: m * width].reshape(m, width)
 
 
 @dataclass(frozen=True)
@@ -264,16 +316,25 @@ def input_gradient(
 
 
 def input_gradient_batch(
-    model: LipschitzClassifier, x: np.ndarray, class_indices: np.ndarray
+    model: LipschitzClassifier,
+    x: np.ndarray,
+    class_indices: np.ndarray,
+    trace: Trace | None = None,
 ) -> np.ndarray:
-    """Per-sample gradient of logits[:, y_i] w.r.t. x_i, shape (n, d)."""
+    """Per-sample gradient of logits[:, y_i] w.r.t. x_i, shape (n, d).
+
+    Given `trace`, a `Trace` of `model` with at least n rows, the pass runs
+    in its buffers and the result is a view into it that the trace's next
+    pass overwrites.
+    """
     x = np.asarray(x, dtype=float)
     ys = np.asarray(class_indices)
-    params = [(layer.weight, layer.bias) for layer in model.layers]
-    logits, _, swaps = _forward_trace(params, x)
-    if np.any(ys < 0) or np.any(ys >= logits.shape[-1]):
+    if np.any(ys < 0) or np.any(ys >= model.n_classes):
         raise DimensionError("class index out of range")
-    return _backward(params, swaps, np.eye(logits.shape[-1])[ys])[0]
+    if trace is None:
+        trace = Trace(model, x.shape[0])
+    trace.forward(x)
+    return trace.backward(np.eye(model.n_classes)[ys])
 
 
 def bjorck_project(weight: np.ndarray, tol: float = PROJ_TOL, max_iters: int = 200) -> np.ndarray:
@@ -313,24 +374,21 @@ def train_toy(
         raise DimensionError("inputs and labels disagree on sample count")
     if epochs == 0:
         return model
-    params = [(layer.weight, layer.bias) for layer in model.layers]
     ortho = [layer.orthogonal for layer in model.layers]
     onehot = np.eye(model.n_classes)[ys]
+    trace = Trace(model, x.shape[0])
     for _ in range(epochs):
-        logits, layer_inputs, swaps = _forward_trace(params, x)
-        probs = _softmax(logits / temperature)
+        probs = _softmax(trace.forward(x) / temperature)
         loss = -np.mean(np.sum(onehot * np.log(probs + 1e-300), axis=1))
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"loss diverged to {loss}")
         delta = (probs - onehot) / (x.shape[0] * temperature)
-        delta, grads = _backward(params, swaps, delta, layer_inputs)
-        params = [(w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(params, grads)]
-        params = [(bjorck_project(w) if o else w, b) for (w, b), o in zip(params, ortho)]
-        # freed before the next forward pass, so one trace is alive at a time
-        del layer_inputs, swaps
+        grads = trace.backward(delta, x)
+        params = [(w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(trace.params, grads)]
+        trace.params = [(bjorck_project(w) if o else w, b) for (w, b), o in zip(params, ortho)]
     layers = [
         AffineLayer(weight=w, bias=b, orthogonal=o)
-        for (w, b), o in zip(params, ortho)
+        for (w, b), o in zip(trace.params, ortho)
     ]
     return LipschitzClassifier(layers=tuple(layers))
 

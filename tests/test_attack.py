@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from liprcp.attack import (
     MAXIMIZE_TRUE_SCORE,
     MINIMIZE_TRUE_SCORE,
+    PGD_BLOCK_ROWS,
     AttackConfig,
     coverage_under_attack,
     pgd_attack_batch,
@@ -21,10 +24,13 @@ from liprcp.datasets import make_gaussian_mixture
 from liprcp.lipnet import (
     AffineLayer,
     LipschitzClassifier,
+    Trace,
     build_orthogonal,
     forward,
+    input_gradient_batch,
     train_toy,
 )
+from liprcp.rng import substream
 from liprcp.scores import ScoreSpec, score
 
 
@@ -301,3 +307,184 @@ class TestPruning:
         attacked = pgd_attack_batch(model, x, y, cfg)
         after = vanilla_membership(rec, forward(model, attacked))[np.arange(40), y]
         np.testing.assert_array_equal(after[settled], covered[settled])
+
+
+# The attack as first written, kept as the bit-for-bit reference: every
+# attacked row at once, one `_pgd_step` per step, and a trace that
+# allocates its arrays afresh in every pass.
+
+
+def sort_pairs_oracle(z):
+    """groupsort2 and the boolean mask of the pairs it swapped."""
+    npairs = z.shape[-1] // 2
+    a, b = z[..., 0 : 2 * npairs : 2], z[..., 1 : 2 * npairs : 2]
+    out = z.copy()
+    out[..., 0 : 2 * npairs : 2] = np.minimum(a, b)
+    out[..., 1 : 2 * npairs : 2] = np.maximum(a, b)
+    return out, a > b
+
+
+def apply_swaps_oracle(v, swaps):
+    out = v.copy()
+    npairs = swaps.shape[-1]
+    a = v[..., 0 : 2 * npairs : 2]
+    b = v[..., 1 : 2 * npairs : 2]
+    out[..., 0 : 2 * npairs : 2] = np.where(swaps, b, a)
+    out[..., 1 : 2 * npairs : 2] = np.where(swaps, a, b)
+    return out
+
+
+def input_gradient_oracle(model, x, ys):
+    params = [(layer.weight, layer.bias) for layer in model.layers]
+    last = len(params) - 1
+    h, swaps = x, []
+    for i, (weight, bias) in enumerate(params):
+        h = h @ weight.T + bias
+        if i < last:
+            h, swapped = sort_pairs_oracle(h)
+            swaps.append(swapped)
+    delta = np.eye(h.shape[-1])[ys]
+    for i in range(last, -1, -1):
+        if i < last:
+            delta = apply_swaps_oracle(delta, swaps[i])
+        delta = delta @ params[i][0]
+    return delta
+
+
+def project_ball_oracle(delta, epsilon):
+    norms = np.linalg.norm(delta, axis=-1, keepdims=True)
+    return delta * np.minimum(1.0, epsilon / np.maximum(norms, 1e-300))
+
+
+def pgd_step_oracle(model, x, y, delta, signed_step, epsilon):
+    grad = input_gradient_oracle(model, x + delta, y)
+    norms = np.linalg.norm(grad, axis=-1, keepdims=True)
+    direction = np.where(norms > 0, grad / np.maximum(norms, 1e-300), 0.0)
+    return project_ball_oracle(delta + signed_step * direction, epsilon)
+
+
+def pgd_attack_oracle(model, x, y, cfg, mask=None):
+    rows = slice(None) if mask is None else np.flatnonzero(mask)
+    ys = y[rows]
+    sign = -1.0 if cfg.objective == MAXIMIZE_TRUE_SCORE else 1.0
+    rng = substream(cfg.seed, "pgd-restarts")
+    best_delta = np.zeros((ys.size, x.shape[1]))
+    best_logit = forward(model, x[rows])[np.arange(ys.size), ys]
+    for restart in range(max(1, cfg.restarts)):
+        if restart == 0:
+            delta = np.zeros_like(best_delta)
+        else:
+            delta = project_ball_oracle(
+                rng.standard_normal(x.shape)[rows] * cfg.epsilon, cfg.epsilon
+            )
+        for _ in range(cfg.steps):
+            delta = pgd_step_oracle(
+                model, x[rows], ys, delta, sign * cfg.effective_step, cfg.epsilon
+            )
+        logit = forward(model, x[rows] + delta)[np.arange(ys.size), ys]
+        better = sign * logit > sign * best_logit
+        best_delta[better] = delta[better]
+        best_logit[better] = logit[better]
+    out = x.copy()
+    out[rows] += project_ball_oracle(best_delta, cfg.epsilon)
+    return out
+
+
+def oracle_models(rng, d=6, c=3):
+    """A one-layer linear model and one with a hidden width of 5 (one
+    coordinate passes GroupSort2 unsorted). Class 0's logit has zero weights
+    in the last layer, so rows labelled 0 have a zero gradient."""
+    last_linear = rng.standard_normal((c, d))
+    last_linear[0] = 0.0
+    last_hidden = rng.standard_normal((c, 5))
+    last_hidden[0] = 0.0
+    return {
+        "linear": LipschitzClassifier(layers=(AffineLayer(last_linear, rng.standard_normal(c)),)),
+        "hidden5": LipschitzClassifier(
+            layers=(
+                AffineLayer(0.5 * rng.standard_normal((5, d)), rng.standard_normal(5)),
+                AffineLayer(last_hidden, rng.standard_normal(c)),
+            )
+        ),
+    }
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestAgainstParentOracle:
+    """The blocked, preallocated attack reproduces the reference bit for bit."""
+
+    @pytest.mark.parametrize("model_name", ["linear", "hidden5"])
+    @pytest.mark.parametrize(
+        "n", [PGD_BLOCK_ROWS - 1, PGD_BLOCK_ROWS, PGD_BLOCK_ROWS + 1, 2 * PGD_BLOCK_ROWS + 3]
+    )
+    def test_pgd_bit_identical(self, model_name, n):
+        rng = np.random.default_rng(n)
+        model = oracle_models(rng)[model_name]
+        x = rng.standard_normal((n, 6))
+        y = rng.integers(0, 3, size=n)
+        assert np.any(y == 0)  # rows with a zero gradient
+        masks = [None, rng.uniform(size=n) < 0.7]
+        for objective in (MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE):
+            for restarts in (1, 3):
+                cfg = AttackConfig(
+                    epsilon=0.6, steps=3, restarts=restarts, seed=n, objective=objective
+                )
+                for mask in masks:
+                    np.testing.assert_array_equal(
+                        bits(pgd_attack_batch(model, x, y, cfg, mask=mask)),
+                        bits(pgd_attack_oracle(model, x, y, cfg, mask=mask)),
+                    )
+
+    @pytest.mark.parametrize("model_name", ["linear", "hidden5"])
+    @pytest.mark.parametrize("integer_valued", [False, True])
+    def test_input_gradient_bit_identical(self, model_name, integer_valued):
+        rng = np.random.default_rng(7)
+        model = oracle_models(rng)[model_name]
+        n = PGD_BLOCK_ROWS + 1
+        x = rng.standard_normal((n, 6))
+        if integer_valued:
+            # integer inputs and weights make tied GroupSort2 pairs common
+            x = np.round(2 * x)
+            model = LipschitzClassifier(
+                layers=tuple(
+                    AffineLayer(np.round(2 * layer.weight), np.round(layer.bias))
+                    for layer in model.layers
+                )
+            )
+        y = rng.integers(0, 3, size=n)
+        expected = bits(input_gradient_oracle(model, x, y))
+        np.testing.assert_array_equal(bits(input_gradient_batch(model, x, y)), expected)
+        # through a larger trace whose buffers hold an earlier pass
+        trace = Trace(model, n + 10)
+        input_gradient_batch(model, rng.standard_normal((n + 10, 6)), np.zeros(n + 10, int), trace)
+        np.testing.assert_array_equal(
+            bits(input_gradient_batch(model, x, y, trace)), expected
+        )
+
+
+class TestMemory:
+    @pytest.mark.parametrize("n", [4096, 16384])
+    def test_peak_stays_linear_with_a_small_factor(self, n):
+        # the restart noise and the best perturbations are the only
+        # batch-sized arrays alive together (the reference attack peaked at
+        # 6.4 n d 8 bytes here); a block's trace and work arrays, about ten
+        # arrays of PGD_BLOCK_ROWS x d, do not grow with n
+        d = 32
+        rng = np.random.default_rng(3)
+        model = LipschitzClassifier(
+            layers=(build_orthogonal(d, d, seed=1), build_orthogonal(d, 8, seed=2))
+        )
+        x = rng.standard_normal((n, d))
+        y = rng.integers(0, 8, size=n)
+        cfg = AttackConfig(epsilon=0.5, steps=3, restarts=2, seed=4)
+        tracemalloc.start()
+        try:
+            pgd_attack_batch(model, x, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_constant = 16 * PGD_BLOCK_ROWS * d * 8
+        assert peak <= 5 * n * d * 8 + block_constant

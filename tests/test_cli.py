@@ -128,6 +128,11 @@ class TestOptionSets:
         "argv, message",
         [
             (["synth", "--out", "x.csv", "--n", "banana"], "argument --n: invalid int"),
+            (["attack-eval", "--out", "a.csv", "--data", "d", "--eval-data", "d",
+              "--model", "m", "--record", "r", "--epsilon-grid", "0.1,x"],
+             "argument --epsilon-grid: invalid comma_separated_floats value: '0.1,x'"),
+            (["train", "--out", "m.json", "--data", "d", "--hidden-dims", "4,2.5"],
+             "argument --hidden-dims: invalid comma_separated_ints value: '4,2.5'"),
             (["train", "--out", "m.json"], "required: --data"),
             (["attack-eval", "--out", "a.csv", "--data", "d", "--eval-data", "d",
               "--record", "r"], "required: --model"),
@@ -136,8 +141,8 @@ class TestOptionSets:
               "--alpha", "0.2"], "unrecognized arguments: --alpha"),
             ([], "required: command"),
         ],
-        ids=["bad-value", "no-data", "no-model", "abbreviation", "unread-flag",
-             "no-command"],
+        ids=["bad-value", "bad-float-list", "bad-int-list", "no-data", "no-model",
+             "abbreviation", "unread-flag", "no-command"],
     )
     def test_parser_error_is_json(self, capsys, argv, message):
         code, stdout, stderr = run(argv, capsys)
@@ -507,8 +512,13 @@ class TestMalformedFiles:
             (lambda doc: [1, 2], "JSON object"),
             (lambda doc: {**doc, "q_alpha": None}, "calibration record"),
             (lambda doc: {**doc, "score_spec": {"temperature": 1.0}}, "'kind'"),
+            (lambda doc: {**doc, "lipschitz_product": -1.0}, "'lipschitz_product'"),
+            (lambda doc: {**doc, "lipschitz_product": 0.0}, "'lipschitz_product'"),
+            (lambda doc: {**doc, "lipschitz_product": float("nan")}, "'lipschitz_product'"),
+            (lambda doc: {**doc, "lipschitz_product": float("inf")}, "'lipschitz_product'"),
         ],
-        ids=["no-q_alpha", "not-object", "null-q_alpha", "spec-no-kind"],
+        ids=["no-q_alpha", "not-object", "null-q_alpha", "spec-no-kind",
+             "negative-lipschitz", "zero-lipschitz", "nan-lipschitz", "inf-lipschitz"],
     )
     def test_bad_record(self, workspace, capsys, edit, message):
         bad = workspace["tmp"] / "bad_record.json"
@@ -582,6 +592,13 @@ class TestReproducibility:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_synth_creates_the_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "deeper" / "x.csv"
+        code, _, stderr = run(["synth", "--out", str(out), "--n", "20", "--seed", "1"], capsys)
+        assert code == 0, stderr
+        assert out.read_text().startswith("id,label,")
+        assert out.with_suffix(".meta.json").exists()
 
     def test_synth_seed_determinism(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

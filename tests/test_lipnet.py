@@ -29,8 +29,14 @@ def groupsort2_oracle(x):
     return out
 
 
+def groupsort2_swaps_oracle(z):
+    """Boolean mask of the pairs groupsort2 swaps (ties and NaN keep order)."""
+    npairs = z.shape[-1] // 2
+    return z[..., 0 : 2 * npairs : 2] > z[..., 1 : 2 * npairs : 2]
+
+
 def apply_swaps_oracle(v, swaps):
-    """_apply_swaps as first written: copies of both halves and np.where."""
+    """The pairwise swap as first written: copies of both halves and np.where."""
     out = v.copy()
     npairs = swaps.shape[-1]
     a = out[..., 0 : 2 * npairs : 2].copy()
@@ -115,12 +121,23 @@ class TestForward:
             np.testing.assert_array_equal(
                 groupsort2(x).view(np.uint64), groupsort2_oracle(x).view(np.uint64)
             )
-            swaps = lipnet._groupsort2_swaps(x)
+            # the trace's kernels: the sort records its swaps as -1 / 0
+            swaps = groupsort2_swaps_oracle(x)
+            recorded = np.empty(swaps.shape, dtype=np.int64)
+            sorted_x = np.empty(shape)
+            lipnet._sort_pairs(x, sorted_x, recorded)
+            np.testing.assert_array_equal(
+                sorted_x.view(np.uint64), groupsort2_oracle(x).view(np.uint64)
+            )
+            np.testing.assert_array_equal(recorded, -swaps.astype(np.int64))
             v = rng.standard_normal(shape)
             v.flat[::5] = np.nan
+            v.flat[1::6] = -0.0
+            v.flat[2::6] = 0.0
+            swapped = v.copy()
+            lipnet._swap_pairs(swapped, recorded, np.empty(swaps.shape, dtype=np.int64))
             np.testing.assert_array_equal(
-                lipnet._apply_swaps(v, swaps).view(np.uint64),
-                apply_swaps_oracle(v, swaps).view(np.uint64),
+                swapped.view(np.uint64), apply_swaps_oracle(v, swaps).view(np.uint64)
             )
 
     def test_identity_model(self):
@@ -292,14 +309,14 @@ def train_toy_oracle(model, x, ys, epochs, lr, temperature):
             layer_inputs.append(h)
             z = h @ weights[i].T + biases[i]
             if i < last:
-                swap_masks.append(lipnet._groupsort2_swaps(z))
+                swap_masks.append(groupsort2_swaps_oracle(z))
                 z = groupsort2(z)
             h = z
         probs = _softmax(h / temperature)
         delta = (probs - onehot) / (n * temperature)
         for i in range(last, -1, -1):
             if i < last:
-                delta = lipnet._apply_swaps(delta, swap_masks[i])
+                delta = apply_swaps_oracle(delta, swap_masks[i])
             grad_w = delta.T @ layer_inputs[i]
             grad_b = delta.sum(axis=0)
             delta = delta @ weights[i]
