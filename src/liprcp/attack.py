@@ -16,7 +16,7 @@ from .audit import critical_epsilons
 from .conformal import CalibrationRecord, coverage_from_membership, vanilla_membership
 from .lipnet import LipschitzClassifier, Trace, forward, input_gradient_batch
 from .rng import substream
-from .scores import score
+from .scores import score, score_all
 
 MAXIMIZE_TRUE_SCORE = "maximize_true_score"
 MINIMIZE_TRUE_SCORE = "minimize_true_score"
@@ -36,6 +36,13 @@ class AttackConfig:
             raise ValueError("epsilon must be nonnegative")
         if self.objective not in (MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE):
             raise ValueError(f"unknown objective {self.objective!r}")
+        if self.steps < 0:
+            raise ValueError(f"attack steps must be nonnegative, got {self.steps}")
+        if self.restarts < 1:
+            raise ValueError(f"attack restarts must be at least 1, got {self.restarts}")
+        # a negative step would climb the wrong way
+        if self.step_size is not None and not self.step_size > 0:
+            raise ValueError(f"attack step size must be positive, got {self.step_size}")
 
     @property
     def effective_step(self) -> float:
@@ -70,9 +77,9 @@ def _project_ball(
     delta *= norms[:, None]
 
 
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """Split n rows into ceil(n / PGD_BLOCK_ROWS) blocks of near-equal size."""
-    count = -(-n // PGD_BLOCK_ROWS)
+def _blocks(n: int, most: int) -> list[tuple[int, int]]:
+    """Split n rows into ceil(n / most) blocks of near-equal size."""
+    count = -(-n // most)
     bounds = [k * n // count for k in range(count + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -83,6 +90,7 @@ def pgd_attack_batch(
     y: np.ndarray,
     cfg: AttackConfig,
     mask: np.ndarray | None = None,
+    cal: CalibrationRecord | None = None,
 ) -> np.ndarray:
     """Attack a batch of inputs; returns perturbed inputs within the ball.
 
@@ -94,6 +102,16 @@ def pgd_attack_batch(
     point in the ball, and a row's result only moves to a restart's end
     point when it strictly improves the objective, so, up to rounding, no
     row ends worse off than at the clean point.
+
+    With a calibration record ``cal`` the attack stops each row at its
+    first flip: at every iterate it tests the true label with
+    `vanilla_membership`'s rule, ``score <= q_alpha``, on the logits the
+    gradient pass computed there. Under the maximize objective a row stops
+    once its label has left the set (minimize: once it has entered), and
+    its result is that iterate, exactly as tested. Later restarts attack
+    only the rows no restart has flipped. A row that never stops runs and
+    ends as without a record, so every row the record-less attack flips is
+    flipped here too, at that point or earlier.
 
     ``mask`` (boolean, one entry per row) limits the attack to the rows it
     selects; the other rows come back unperturbed. The restart noise is
@@ -107,8 +125,13 @@ def pgd_attack_batch(
 
     Within a restart the attacked rows run in blocks of at most
     `PGD_BLOCK_ROWS`, each through all its steps in one preallocated
-    `lipnet.Trace`. Every row's arithmetic is independent of the others',
-    so the result does not depend on the block size.
+    `lipnet.Trace`; rows that stop are dropped by moving the remaining
+    ones to the front of the block's buffers. Every row's arithmetic is
+    independent of the others', so the result does not depend on the
+    block size, as far as BLAS rounds each row of a product the same at
+    any row count. OpenBLAS may not for a product of few rows (a single
+    row goes through its matrix-vector path), which a block shrinks to
+    once most of its rows have stopped.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_1d(y)
@@ -125,30 +148,65 @@ def pgd_attack_batch(
     eps = cfg.epsilon
     sign = -1.0 if cfg.objective == MAXIMIZE_TRUE_SCORE else 1.0
     signed_step = sign * cfg.effective_step
+    # a row stops when its label's membership becomes `stop_when`
+    stop_when = cfg.objective == MINIMIZE_TRUE_SCORE
     rng = substream(cfg.seed, "pgd-restarts")
-    blocks = _blocks(ys.size)
-    width = max(stop - start for start, stop in blocks)
+    # later restarts, over fewer rows, use blocks no wider than restart 0's
+    width = max(end - start for start, end in _blocks(ys.size, PGD_BLOCK_ROWS))
     trace = Trace(model, width)
     delta_buf, inputs_buf, squares_buf = (np.empty((width, x.shape[1])) for _ in range(3))
     norms_buf = np.empty(width)
+    # each block row's position in ys, and its label
+    slots_buf, yb_buf = np.empty(width, dtype=np.intp), np.empty(width, dtype=ys.dtype)
     best_delta = np.zeros((ys.size, x.shape[1]))
     best_logit = np.empty(ys.size)
-    for restart in range(max(1, cfg.restarts)):
+    stopped = np.zeros(ys.size, dtype=bool)
+
+    def drop_flipped(k: int, *arrays: np.ndarray) -> int:
+        """Stop the rows among the block's first k whose label flipped at
+        the last pass's logits; their deltas become their results. The
+        other rows move to the front of the block's buffers and of
+        `arrays`; returns how many there are."""
+        scores = score_all(cal.score_spec, trace.logits[:k])[np.arange(k), yb_buf[:k]]
+        flipped = (scores <= cal.q_alpha) == stop_when
+        if not flipped.any():
+            return k
+        done = slots_buf[:k][flipped]
+        best_delta[done] = delta_buf[:k][flipped]
+        stopped[done] = True
+        kept = ~flipped
+        for a in (slots_buf, yb_buf, xb, delta_buf, *arrays):
+            np.compress(kept, a[:k], axis=0, out=a[: k - done.size])
+        return k - done.size
+
+    for restart in range(cfg.restarts):
+        live = np.flatnonzero(~stopped)
+        if live.size == 0:
+            break
         noise = None if restart == 0 else rng.standard_normal(x.shape)
-        for start, stop in blocks:
-            m = stop - start
-            xb, yb, picked = x[rows[start:stop]], ys[start:stop], np.arange(m)
-            delta, inputs = delta_buf[:m], inputs_buf[:m]
-            squares, norms = squares_buf[:m], norms_buf[:m]
+        for start, end in _blocks(live.size, width):
+            k, block = end - start, live[start:end]
+            slots_buf[:k] = block
+            yb_buf[:k] = ys[block]
+            # a private copy, so stopped rows can leave it in place
+            xb = x[rows[block]]
+            delta = delta_buf[:k]
             if noise is None:
                 delta.fill(0.0)
-                best_logit[start:stop] = trace.forward(xb)[picked, yb]
+                best_logit[block] = trace.forward(xb)[np.arange(k), yb_buf[:k]]
             else:
-                np.multiply(noise[rows[start:stop]], eps, out=delta)
-                _project_ball(delta, eps, squares, norms)
+                np.multiply(noise[rows[block]], eps, out=delta)
+                _project_ball(delta, eps, squares_buf[:k], norms_buf[:k])
             for _ in range(cfg.steps):
-                np.add(xb, delta, out=inputs)
-                grad = input_gradient_batch(model, inputs, yb, trace)
+                inputs = inputs_buf[:k]
+                np.add(xb[:k], delta_buf[:k], out=inputs)
+                grad = input_gradient_batch(model, inputs, yb_buf[:k], trace)
+                if cal is not None:
+                    k = drop_flipped(k, grad)
+                    if k == 0:
+                        break
+                    grad = grad[:k]
+                delta, squares, norms = delta_buf[:k], squares_buf[:k], norms_buf[:k]
                 # the step direction is grad / |grad|, or 0 where |grad| is
                 # not positive
                 _row_norms(grad, squares, norms)
@@ -160,18 +218,25 @@ def pgd_attack_batch(
                 grad *= signed_step
                 delta += grad
                 _project_ball(delta, eps, squares, norms)
-            np.add(xb, delta, out=inputs)
-            logit = trace.forward(inputs)[picked, yb]
-            better = sign * logit > sign * best_logit[start:stop]
-            best_delta[start:stop][better] = delta[better]
-            best_logit[start:stop][better] = logit[better]
+            if k == 0:
+                continue
+            inputs = inputs_buf[:k]
+            np.add(xb[:k], delta_buf[:k], out=inputs)
+            trace.forward(inputs)
+            if cal is not None:
+                k = drop_flipped(k, trace.logits)
+            slots, delta = slots_buf[:k], delta_buf[:k]
+            logit = trace.logits[:k][np.arange(k), yb_buf[:k]]
+            better = sign * logit > sign * best_logit[slots]
+            # a result that did not stop is projected once more onto the
+            # ball, which may move it by a few ulps
+            _project_ball(delta, eps, squares_buf[:k], norms_buf[:k])
+            best_delta[slots[better]] = delta[better]
+            best_logit[slots[better]] = logit[better]
         noise = None  # freed before the next restart draws its own
     out = x.copy()
-    for start, stop in blocks:
-        m = stop - start
-        chosen = best_delta[start:stop]
-        _project_ball(chosen, eps, squares_buf[:m], norms_buf[:m])
-        out[rows[start:stop]] += chosen
+    for start, end in _blocks(ys.size, width):
+        out[rows[start:end]] += best_delta[start:end]
     return out
 
 
@@ -217,10 +282,14 @@ def coverage_under_attack(
       whose objective it only ever improves on;
     * undecided: all other rows, the only ones that run PGD.
 
-    The minimize objective mirrors this. For the sigmoid score the coverage
-    equals that of attacking every row with `pgd_attack_batch`. For softmax
-    a lower true logit need not mean a higher score, so attacking a lost
-    row can end at a covered point: the pruned coverage can fall below the
+    The minimize objective mirrors this. PGD gets `cal`, so each undecided
+    row stops at its first flip and later restarts attack only the rows
+    still standing (see `pgd_attack_batch`). Up to rounding, the coverage
+    can therefore only fall below that of a record-less attack (minimize:
+    only rise), and for the sigmoid score it equals that of attacking
+    every row with `pgd_attack_batch` and the same record. For softmax a
+    lower true logit need not mean a higher score, so attacking a lost row
+    can end at a covered point: the pruned coverage can fall below the
     unpruned one (minimize: rise above it), still inside the certified
     band. The mean set size is that of the sets at the inputs the attack
     returns.
@@ -228,7 +297,7 @@ def coverage_under_attack(
     x = np.atleast_2d(test_inputs)
     labels = np.atleast_1d(test_labels)
     undecided = undecided_rows(model, cal, forward(model, x), labels, cfg)
-    attacked = pgd_attack_batch(model, x, labels, cfg, mask=undecided)
+    attacked = pgd_attack_batch(model, x, labels, cfg, mask=undecided, cal=cal)
     membership = vanilla_membership(cal, forward(model, attacked))
     return (
         coverage_from_membership(membership, labels),

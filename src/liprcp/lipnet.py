@@ -51,7 +51,8 @@ class AffineLayer:
         object.__setattr__(self, "bias", b)
         if self.orthogonal:
             res = orthogonality_residual(w)
-            if res > ORTHO_TOL:
+            # NaN weights give a NaN residual, which this rejects too
+            if not res <= ORTHO_TOL:
                 raise ValueError(
                     f"layer flagged orthogonal but residual {res:.3e} > {ORTHO_TOL}"
                 )

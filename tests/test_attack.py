@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liprcp import attack
 from liprcp.attack import (
     MAXIMIZE_TRUE_SCORE,
     MINIMIZE_TRUE_SCORE,
@@ -31,7 +32,7 @@ from liprcp.lipnet import (
     train_toy,
 )
 from liprcp.rng import substream
-from liprcp.scores import ScoreSpec, score
+from liprcp.scores import LAC_SIGMOID, LAC_SOFTMAX, ScoreSpec, score
 
 
 def linear_model(W, b=None):
@@ -50,6 +51,15 @@ class TestConfig:
             AttackConfig(epsilon=-1.0)
         with pytest.raises(ValueError):
             AttackConfig(epsilon=0.1, objective="confuse")
+
+    @pytest.mark.parametrize(
+        "option",
+        [{"steps": -3}, {"restarts": 0}, {"restarts": -2}, {"step_size": -0.5},
+         {"step_size": 0.0}, {"step_size": float("nan")}],
+    )
+    def test_rejects_bad_attack_options(self, option):
+        with pytest.raises(ValueError):
+            AttackConfig(epsilon=0.1, **option)
 
 
 class TestBallConstraint:
@@ -185,7 +195,7 @@ class TestCoverageUnderAttack:
             cov, size = coverage_under_attack(model, rec, x, y, cfg)
             mask = undecided_rows(model, rec, forward(model, x), y, cfg)
             member = vanilla_membership(
-                rec, forward(model, pgd_attack_batch(model, x, y, cfg, mask=mask))
+                rec, forward(model, pgd_attack_batch(model, x, y, cfg, mask=mask, cal=rec))
             )
             assert cov == coverage_from_membership(member, y)
             assert size == member.sum(axis=1).mean()
@@ -205,7 +215,7 @@ def trained_model():
 
 
 def unpruned_coverage(model, rec, x, y, cfg):
-    member = vanilla_membership(rec, forward(model, pgd_attack_batch(model, x, y, cfg)))
+    member = vanilla_membership(rec, forward(model, pgd_attack_batch(model, x, y, cfg, cal=rec)))
     return coverage_from_membership(member, y)
 
 
@@ -307,6 +317,81 @@ class TestPruning:
         attacked = pgd_attack_batch(model, x, y, cfg)
         after = vanilla_membership(rec, forward(model, attacked))[np.arange(40), y]
         np.testing.assert_array_equal(after[settled], covered[settled])
+
+
+def stopping_case(n, kind, seed=0):
+    """A model with a hidden GroupSort2 layer, n rows, and a record whose
+    quantile puts about half the true labels in their sets."""
+    rng = np.random.default_rng(seed)
+    model = LipschitzClassifier(
+        layers=(
+            AffineLayer(rng.standard_normal((6, 5)) / np.sqrt(5), rng.standard_normal(6)),
+            AffineLayer(rng.standard_normal((3, 6)) / np.sqrt(6), rng.standard_normal(3)),
+        )
+    )
+    x = rng.standard_normal((n, 5))
+    y = rng.integers(0, 3, size=n)
+    spec = ScoreSpec(kind=kind)
+    rec = calibrate(score(spec, forward(model, x), y), 0.5, spec, model.lipschitz_product)
+    return model, x, y, rec
+
+
+def flipped_at(model, rec, out, y, objective):
+    """Rows whose true label is out of the set at `out` (minimize: in it)."""
+    covered = vanilla_membership(rec, forward(model, out))[np.arange(y.size), y]
+    return covered != (objective == MAXIMIZE_TRUE_SCORE)
+
+
+class TestStopping:
+    """With a record, a row stops at its first coverage flip."""
+
+    @pytest.mark.parametrize("kind", [LAC_SIGMOID, LAC_SOFTMAX])
+    @pytest.mark.parametrize("objective", [MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE])
+    def test_flips_every_row_the_record_less_attack_flips(self, kind, objective):
+        model, x, y, rec = stopping_case(400, kind)
+        cfg = AttackConfig(epsilon=0.5, steps=6, restarts=3, seed=1, objective=objective)
+        full = flipped_at(model, rec, pgd_attack_batch(model, x, y, cfg), y, objective)
+        stopping = flipped_at(
+            model, rec, pgd_attack_batch(model, x, y, cfg, cal=rec), y, objective
+        )
+        assert 0 < full.sum() < y.size
+        # so coverage never rises under maximize and never falls under minimize
+        assert np.all(stopping[full])
+
+    @pytest.mark.parametrize("kind", [LAC_SIGMOID, LAC_SOFTMAX])
+    @pytest.mark.parametrize("objective", [MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE])
+    def test_a_row_ends_flipped_or_as_without_a_record(self, kind, objective):
+        # a row that never stops runs exactly as without a record; one that
+        # stops returns the iterate it was tested at
+        model, x, y, rec = stopping_case(400, kind, seed=1)
+        cfg = AttackConfig(epsilon=0.5, steps=6, restarts=3, seed=2, objective=objective)
+        full = pgd_attack_batch(model, x, y, cfg)
+        out = pgd_attack_batch(model, x, y, cfg, cal=rec)
+        # beyond rounding: a block that shrinks to one row multiplies it
+        # through BLAS's matrix-vector path, which may round differently
+        moved = np.abs(out - full).max(axis=1) > 1e-9
+        assert moved.any()
+        assert np.all(flipped_at(model, rec, out, y, objective)[moved])
+        assert np.all(np.linalg.norm(out - x, axis=1) <= 0.5 + 1e-10)
+
+    @pytest.mark.parametrize(
+        "n", [PGD_BLOCK_ROWS - 1, PGD_BLOCK_ROWS + 1, 2 * PGD_BLOCK_ROWS + 3]
+    )
+    def test_bit_identical_under_a_mask_and_in_one_block(self, monkeypatch, n):
+        # few steps and several restarts keep the restart noise visible, so
+        # this fails if masked rows drew different noise
+        model, x, y, rec = stopping_case(n, LAC_SIGMOID, seed=n)
+        mask = np.random.default_rng(n).uniform(size=n) < 0.7
+        for objective in (MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE):
+            cfg = AttackConfig(epsilon=0.5, steps=3, restarts=3, seed=n, objective=objective)
+            ref = pgd_attack_batch(model, x, y, cfg, cal=rec)
+            masked = pgd_attack_batch(model, x, y, cfg, mask=mask, cal=rec)
+            np.testing.assert_array_equal(bits(masked[mask]), bits(ref[mask]))
+            np.testing.assert_array_equal(masked[~mask], x[~mask])
+            with monkeypatch.context() as m:
+                m.setattr(attack, "PGD_BLOCK_ROWS", n)
+                whole = pgd_attack_batch(model, x, y, cfg, cal=rec)
+            np.testing.assert_array_equal(bits(whole), bits(ref))
 
 
 # The attack as first written, kept as the bit-for-bit reference: every
@@ -480,11 +565,15 @@ class TestMemory:
         x = rng.standard_normal((n, d))
         y = rng.integers(0, 8, size=n)
         cfg = AttackConfig(epsilon=0.5, steps=3, restarts=2, seed=4)
-        tracemalloc.start()
-        try:
-            pgd_attack_batch(model, x, y, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        spec = ScoreSpec()
+        rec = calibrate(score(spec, forward(model, x), y), 0.5, spec)
         block_constant = 16 * PGD_BLOCK_ROWS * d * 8
-        assert peak <= 5 * n * d * 8 + block_constant
+        # without a record, and with one that stops about half the rows
+        for cal in (None, rec):
+            tracemalloc.start()
+            try:
+                pgd_attack_batch(model, x, y, cfg, cal=cal)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5 * n * d * 8 + block_constant

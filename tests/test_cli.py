@@ -356,7 +356,9 @@ class TestPipeline:
             mask = cli.attack.undecided_rows(
                 net, rec, cli.lipnet.forward(net, ds.data), ds.labels, cfg
             )
-            attacked = cli.attack.pgd_attack_batch(net, ds.data, ds.labels, cfg, mask=mask)
+            attacked = cli.attack.pgd_attack_batch(
+                net, ds.data, ds.labels, cfg, mask=mask, cal=rec
+            )
             member = cli.conformal.vanilla_membership(rec, cli.lipnet.forward(net, attacked))
             assert mask.any()
             assert float(rows[1][2]) == float(member.sum(axis=1).mean())
@@ -469,6 +471,30 @@ class TestCheckFailures:
         assert out.read_bytes() == unchecked  # written before the check fails
 
 
+class TestAttackOptions:
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--attack-steps", "-3", "steps"),
+            ("--attack-restarts", "0", "restarts"),
+            ("--attack-restarts", "-2", "restarts"),
+            ("--attack-step-size", "-0.5", "step size"),
+            ("--attack-step-size", "0", "step size"),
+        ],
+    )
+    def test_bad_option_is_json(self, workspace, capsys, flag, value, message):
+        out = workspace["tmp"] / "attack.csv"
+        code, stdout, stderr = run(
+            ["attack-eval", "--data", str(workspace["eval"]),
+             "--eval-data", str(workspace["eval"]), "--model", str(workspace["model"]),
+             "--record", str(workspace["record"]), "--out", str(out),
+             "--epsilon-grid", "0.5", flag, value], capsys
+        )
+        assert (code, stdout) == (1, "")
+        assert message in json.loads(stderr)["error"]
+        assert not out.exists()
+
+
 def _layer_doc(**override):
     layer = {"weight": [[1.0, 0.0], [0.0, 1.0]], "bias": [0.0, 0.0],
              "orthogonal": True}
@@ -489,9 +515,12 @@ class TestMalformedFiles:
             ({"activation": "groupsort2", "layers": [_layer_doc(bias=[{}, 0.0])]},
              "model layer"),
             ([1, 2], "JSON object"),
+            ({"activation": "groupsort2",
+              "layers": [_layer_doc(weight=[[float("nan"), 0.0], [0.0, 1.0]])]},
+             "flagged orthogonal"),
         ],
         ids=["no-layers", "layers-not-list", "layer-no-orthogonal",
-             "non-numeric-bias", "not-object"],
+             "non-numeric-bias", "not-object", "nan-orthogonal-weight"],
     )
     def test_bad_model(self, workspace, capsys, model, message):
         bad = workspace["tmp"] / "bad_model.json"

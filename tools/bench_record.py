@@ -1,0 +1,82 @@
+"""Record perfbench runs as one BENCH file.
+
+Usage (from the repository root):
+
+    python3 tools/bench_record.py --out BENCH_12.json --seeds 501,502 \
+        [--workloads pipeline,logits-audit,attack-wide] [--parent PATH] \
+        [--seconds 30] [--trace 0]
+
+For each seed and workload it runs ``perfbench/run.py`` once in this checkout
+and, with ``--parent``, once in the parent's checkout; the side that runs
+first alternates from pair to pair. Each run's two output lines, the details
+and the result, are saved under "runs"; runs already in the file are kept.
+"summary" gives, per workload and side, the median and quartiles of every
+untraced end-to-end metric, and how many pairs the change read lower.
+
+Run it from a fresh copy of the change and point ``--parent`` at a fresh
+copy of the parent (``git archive``): with bytecode writing off, a tree that
+holds ``__pycache__`` from earlier runs imports faster than one that does not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def bench(repo: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    lines = subprocess.run(argv, cwd=repo, capture_output=True, text=True, check=True).stdout
+    details, result = (json.loads(line) for line in lines.strip().splitlines()[-2:])
+    return {"workload": workload, "seed": seed, "trace": trace, "details": details,
+            "result": result}
+
+
+def summary(runs: list[dict]) -> dict:
+    out: dict = {}
+    untraced = [r for r in runs if not r["trace"]]
+    for workload in sorted({r["workload"] for r in untraced}):
+        for metric in untraced[0]["result"]["metrics"]:
+            value = {(r["side"], r["seed"]): r["result"]["metrics"][metric]["value"]
+                     for r in untraced if r["workload"] == workload}
+            row = {}
+            for side in ("parent", "change"):
+                vals = [v for (s, _), v in value.items() if s == side]
+                if len(vals) >= 2:
+                    q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive")
+                    row[side] = {"median": med, "q1": q1, "q3": q3, "runs": len(vals)}
+            pairs = [(value[("parent", s)], v) for (side, s), v in value.items()
+                     if side == "change" and ("parent", s) in value]
+            if pairs:
+                row["change_lower_in"] = f"{sum(c < p for p, c in pairs)}/{len(pairs)}"
+            out.setdefault(workload, {})[metric] = row
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--seeds", required=True, help="comma-separated workload seeds")
+    parser.add_argument("--workloads", default="pipeline,logits-audit,attack-wide")
+    parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args()
+    sides = [("change", Path.cwd())] + ([("parent", args.parent)] if args.parent else [])
+    runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
+    for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
+        for workload in args.workloads.split(","):
+            for side, repo in sides[::-1] if i % 2 else sides:
+                run = bench(repo, workload, seed, args.seconds, args.trace)
+                runs.append({"side": side, **run})
+                args.out.write_text(json.dumps({"runs": runs, "summary": summary(runs)}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
