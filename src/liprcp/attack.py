@@ -8,6 +8,7 @@ empirical adversary every certificate in the toolkit is validated against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,8 +33,8 @@ class AttackConfig:
     objective: str = MAXIMIZE_TRUE_SCORE
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
         if self.objective not in (MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE):
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.steps < 0:
@@ -49,32 +50,14 @@ class AttackConfig:
         return self.step_size if self.step_size is not None else self.epsilon / 4.0
 
 
-# rows per PGD block: a block's trace and work arrays stay cache-resident
+# rows per PGD block: a block's trace and step arrays stay cache-resident
 PGD_BLOCK_ROWS = 1024
 
 
-def _row_norms(a: np.ndarray, squares: np.ndarray, out: np.ndarray) -> None:
-    """l2 norm of each row of `a` into `out`, as np.linalg.norm(a, axis=-1).
-
-    `squares` is a work array of a's shape.
-    """
-    np.multiply(a, a, out=squares)
-    np.add.reduce(squares, axis=-1, out=out)
-    np.sqrt(out, out=out)
-
-
-def _project_ball(
-    delta: np.ndarray, epsilon: float, squares: np.ndarray, norms: np.ndarray
-) -> None:
-    """Scale, in place, each row of `delta` longer than `epsilon` onto the ball.
-
-    `squares` and `norms` are work arrays of delta's shape and row count.
-    """
-    _row_norms(delta, squares, norms)
-    np.maximum(norms, 1e-300, out=norms)
-    np.divide(epsilon, norms, out=norms)
-    np.minimum(1.0, norms, out=norms)
-    delta *= norms[:, None]
+def _project_ball(delta: np.ndarray, epsilon: float) -> np.ndarray:
+    """`delta` with each row longer than `epsilon` scaled onto the ball."""
+    norms = np.linalg.norm(delta, axis=-1, keepdims=True)
+    return delta * np.minimum(1.0, epsilon / np.maximum(norms, 1e-300))
 
 
 def _blocks(n: int, most: int) -> list[tuple[int, int]]:
@@ -124,24 +107,21 @@ def pgd_attack_batch(
     above stay lost (for the minimize objective, the mirror images).
 
     Within a restart the attacked rows run in blocks of at most
-    `PGD_BLOCK_ROWS`, each through all its steps in one preallocated
-    `lipnet.Trace`; rows that stop are dropped by moving the remaining
-    ones to the front of the block's buffers. Every row's arithmetic is
-    independent of the others', so the result does not depend on the
-    block size, as far as BLAS rounds each row of a product the same at
-    any row count. OpenBLAS may not for a product of few rows (a single
-    row goes through its matrix-vector path), which a block shrinks to
-    once most of its rows have stopped.
+    `PGD_BLOCK_ROWS`, each through all its steps in one `lipnet.Trace` sized
+    for restart 0's widest block; a step is plain array arithmetic on the
+    block's rows, and stopped rows leave it by boolean indexing. Every row's
+    arithmetic is independent of the others', so the result does not depend
+    on the block size, as far as BLAS rounds each row of a product the same
+    at any row count. OpenBLAS may not for a product of few rows (a single
+    row goes through its matrix-vector path), which a block shrinks to once
+    most of its rows have stopped.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_1d(y)
-    if mask is None:
-        rows = np.arange(x.shape[0])
-    else:
-        mask = np.asarray(mask)
-        if mask.dtype != bool or mask.shape != (x.shape[0],):
-            raise ValueError("mask must be a boolean array with one entry per row")
-        rows = np.flatnonzero(mask)
+    mask = np.ones(x.shape[0], dtype=bool) if mask is None else np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (x.shape[0],):
+        raise ValueError("mask must be a boolean array with one entry per row")
+    rows = np.flatnonzero(mask)
     ys = y[rows]
     if cfg.epsilon == 0.0 or cfg.steps == 0 or ys.size == 0:
         return x.copy()
@@ -154,30 +134,21 @@ def pgd_attack_batch(
     # later restarts, over fewer rows, use blocks no wider than restart 0's
     width = max(end - start for start, end in _blocks(ys.size, PGD_BLOCK_ROWS))
     trace = Trace(model, width)
-    delta_buf, inputs_buf, squares_buf = (np.empty((width, x.shape[1])) for _ in range(3))
-    norms_buf = np.empty(width)
-    # each block row's position in ys, and its label
-    slots_buf, yb_buf = np.empty(width, dtype=np.intp), np.empty(width, dtype=ys.dtype)
     best_delta = np.zeros((ys.size, x.shape[1]))
-    best_logit = np.empty(ys.size)
-    stopped = np.zeros(ys.size, dtype=bool)
+    best_logit, stopped = np.empty(ys.size), np.zeros(ys.size, dtype=bool)
 
-    def drop_flipped(k: int, *arrays: np.ndarray) -> int:
-        """Stop the rows among the block's first k whose label flipped at
-        the last pass's logits; their deltas become their results. The
-        other rows move to the front of the block's buffers and of
-        `arrays`; returns how many there are."""
-        scores = score_all(cal.score_spec, trace.logits[:k])[np.arange(k), yb_buf[:k]]
-        flipped = (scores <= cal.q_alpha) == stop_when
-        if not flipped.any():
-            return k
-        done = slots_buf[:k][flipped]
-        best_delta[done] = delta_buf[:k][flipped]
-        stopped[done] = True
-        kept = ~flipped
-        for a in (slots_buf, yb_buf, xb, delta_buf, *arrays):
-            np.compress(kept, a[:k], axis=0, out=a[: k - done.size])
-        return k - done.size
+    def drop_stopped(
+        slots: np.ndarray, yb: np.ndarray, delta: np.ndarray, *more: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """Stop the block's rows whose label flipped at the last pass's logits,
+        their deltas becoming their results; returns the arrays without them."""
+        if cal is None:
+            return (slots, yb, delta, *more)
+        scores = score_all(cal.score_spec, trace.logits[: slots.size])
+        flipped = (scores[np.arange(slots.size), yb] <= cal.q_alpha) == stop_when
+        best_delta[slots[flipped]] = delta[flipped]
+        stopped[slots[flipped]] = True
+        return tuple(a[~flipped] for a in (slots, yb, delta, *more))
 
     for restart in range(cfg.restarts):
         live = np.flatnonzero(~stopped)
@@ -185,58 +156,32 @@ def pgd_attack_batch(
             break
         noise = None if restart == 0 else rng.standard_normal(x.shape)
         for start, end in _blocks(live.size, width):
-            k, block = end - start, live[start:end]
-            slots_buf[:k] = block
-            yb_buf[:k] = ys[block]
-            # a private copy, so stopped rows can leave it in place
-            xb = x[rows[block]]
-            delta = delta_buf[:k]
+            # each block row's position in ys, its input and its label
+            slots = live[start:end]
+            xb, yb = x[rows[slots]], ys[slots]
             if noise is None:
-                delta.fill(0.0)
-                best_logit[block] = trace.forward(xb)[np.arange(k), yb_buf[:k]]
+                delta = np.zeros_like(xb)
+                best_logit[slots] = trace.forward(xb)[np.arange(slots.size), yb]
             else:
-                np.multiply(noise[rows[block]], eps, out=delta)
-                _project_ball(delta, eps, squares_buf[:k], norms_buf[:k])
+                delta = _project_ball(noise[rows[slots]] * eps, eps)
             for _ in range(cfg.steps):
-                inputs = inputs_buf[:k]
-                np.add(xb[:k], delta_buf[:k], out=inputs)
-                grad = input_gradient_batch(model, inputs, yb_buf[:k], trace)
-                if cal is not None:
-                    k = drop_flipped(k, grad)
-                    if k == 0:
-                        break
-                    grad = grad[:k]
-                delta, squares, norms = delta_buf[:k], squares_buf[:k], norms_buf[:k]
-                # the step direction is grad / |grad|, or 0 where |grad| is
-                # not positive
-                _row_norms(grad, squares, norms)
-                flat = ~(norms > 0)
-                np.maximum(norms, 1e-300, out=norms)
-                grad /= norms[:, None]
-                if flat.any():
-                    grad[flat] = 0.0
-                grad *= signed_step
-                delta += grad
-                _project_ball(delta, eps, squares, norms)
-            if k == 0:
-                continue
-            inputs = inputs_buf[:k]
-            np.add(xb[:k], delta_buf[:k], out=inputs)
-            trace.forward(inputs)
-            if cal is not None:
-                k = drop_flipped(k, trace.logits)
-            slots, delta = slots_buf[:k], delta_buf[:k]
-            logit = trace.logits[:k][np.arange(k), yb_buf[:k]]
+                grad = input_gradient_batch(model, xb + delta, yb, trace)
+                slots, yb, delta, xb, grad = drop_stopped(slots, yb, delta, xb, grad)
+                if slots.size == 0:
+                    break
+                norms = np.linalg.norm(grad, axis=-1, keepdims=True)
+                direction = np.where(norms > 0, grad / np.maximum(norms, 1e-300), 0.0)
+                delta = _project_ball(delta + signed_step * direction, eps)
+            slots, yb, delta, logits = drop_stopped(slots, yb, delta, trace.forward(xb + delta))
+            logit = logits[np.arange(slots.size), yb]
             better = sign * logit > sign * best_logit[slots]
-            # a result that did not stop is projected once more onto the
-            # ball, which may move it by a few ulps
-            _project_ball(delta, eps, squares_buf[:k], norms_buf[:k])
-            best_delta[slots[better]] = delta[better]
+            # a result that did not stop is projected once more (a few ulps)
+            best_delta[slots[better]] = _project_ball(delta, eps)[better]
             best_logit[slots[better]] = logit[better]
         noise = None  # freed before the next restart draws its own
+    best_delta += x[rows]  # the attacked inputs, with no third batch-sized array
     out = x.copy()
-    for start, end in _blocks(ys.size, width):
-        out[rows[start:end]] += best_delta[start:end]
+    out[rows] = best_delta
     return out
 
 

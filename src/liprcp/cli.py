@@ -19,6 +19,7 @@ if "LIPRCP_THREADS" in os.environ:
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -27,8 +28,15 @@ import numpy as np
 
 from . import attack, audit, conformal, datasets, lipnet, poison, robust, scores
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def comma_separated_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+    return [finite_float(v) for v in text.split(",")]
 
 
 def comma_separated_ints(text: str) -> list[int]:
@@ -38,26 +46,26 @@ def comma_separated_ints(text: str) -> list[int]:
 # every recognized config key and the parser applied to its value; argparse
 # names a parser's function in its "invalid <name> value" message
 _SCHEMA = {
-    "alpha": float,
-    "delta": float,
-    "epsilon": float,
+    "alpha": finite_float,
+    "delta": finite_float,
+    "epsilon": finite_float,
     "epsilon_grid": comma_separated_floats,
     "score_kind": str,
-    "temperature": float,
-    "bias": float,
+    "temperature": finite_float,
+    "bias": finite_float,
     "bound_method": str,
     "correction_mode": str,
     "attack_steps": int,
     "attack_restarts": int,
-    "attack_step_size": float,
+    "attack_step_size": finite_float,
     "seed": int,
     "n": int,
     "d": int,
     "c": int,
-    "separation": float,
+    "separation": finite_float,
     "hidden_dims": comma_separated_ints,
     "epochs": int,
-    "lr": float,
+    "lr": finite_float,
     "k": int,
 }
 
@@ -115,7 +123,7 @@ def _logits_and_labels(data_path: str, model_path: str | None):
     """
     try:
         ds = datasets.load_logits_csv(data_path)
-    except datasets.CsvFormatError:
+    except datasets.CsvHeaderError:
         ds = datasets.load_inputs_csv(data_path)
     model = None
     if model_path is not None:
@@ -177,7 +185,7 @@ def cmd_calibrate(opts: dict) -> dict:
     logits, labels, _, ln = _logits_and_labels(opts["data"], opts["model"])
     cal_scores = scores.score(spec, logits, labels)
     alpha, epsilon = opts["alpha"], opts["epsilon"]
-    if epsilon > 0:
+    if epsilon != 0:
         record = robust.robust_calibrate(cal_scores, alpha, epsilon, spec, ln)
     else:
         record = conformal.calibrate(cal_scores, alpha, spec, ln)

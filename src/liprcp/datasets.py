@@ -17,6 +17,10 @@ class CsvFormatError(ValueError):
     pass
 
 
+class CsvHeaderError(CsvFormatError):
+    """The header names the columns of another kind of file."""
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Rows of either raw inputs (n, d) or precomputed logits (n, c)."""
@@ -106,7 +110,7 @@ def _load_csv(path, prefix: str, kind: str) -> LabeledDataset:
         header = first[0].split(",")
         expected = ["id", "label"] + [f"{prefix}_{j}" for j in range(len(header) - 2)]
         if header != expected:
-            raise CsvFormatError(
+            raise CsvHeaderError(
                 f"{path}:1: malformed header {first[0]!r}, expected {','.join(expected)!r}"
             )
         fh.seek(0)

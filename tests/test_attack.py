@@ -47,8 +47,9 @@ class TestConfig:
         assert AttackConfig(epsilon=0.8, step_size=0.05).effective_step == 0.05
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AttackConfig(epsilon=-1.0)
+        for epsilon in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                AttackConfig(epsilon=epsilon)
         with pytest.raises(ValueError):
             AttackConfig(epsilon=0.1, objective="confuse")
 
@@ -555,8 +556,8 @@ class TestMemory:
     def test_peak_stays_linear_with_a_small_factor(self, n):
         # the restart noise and the best perturbations are the only
         # batch-sized arrays alive together (the reference attack peaked at
-        # 6.4 n d 8 bytes here); a block's trace and work arrays, about ten
-        # arrays of PGD_BLOCK_ROWS x d, do not grow with n
+        # 6.4 n d 8 bytes here); a block's trace and the few arrays each
+        # step allocates, all of PGD_BLOCK_ROWS rows, do not grow with n
         d = 32
         rng = np.random.default_rng(3)
         model = LipschitzClassifier(

@@ -140,14 +140,45 @@ class TestOptionSets:
             (["robust-predict", "--out", "x.csv", "--data", "d", "--record", "r",
               "--alpha", "0.2"], "unrecognized arguments: --alpha"),
             ([], "required: command"),
+            (["robust-predict", "--out", "x.csv", "--data", "d", "--record", "r",
+              "--epsilon", "nan"], "argument --epsilon: invalid finite_float value: 'nan'"),
+            (["attack-eval", "--out", "a.csv", "--data", "d", "--eval-data", "d",
+              "--model", "m", "--record", "r", "--epsilon-grid", "nan,0.1"],
+             "argument --epsilon-grid: invalid comma_separated_floats value: 'nan,0.1'"),
+            (["attack-eval", "--out", "a.csv", "--data", "d", "--eval-data", "d",
+              "--model", "m", "--record", "r", "--epsilon-grid", "inf"],
+             "argument --epsilon-grid: invalid comma_separated_floats value: 'inf'"),
+            (["calibrate", "--out", "r.json", "--data", "logits.csv", "--temperature", "nan"],
+             "argument --temperature: invalid finite_float value: 'nan'"),
+            (["calibrate", "--out", "r.json", "--data", "logits.csv", "--bias", "nan"],
+             "argument --bias: invalid finite_float value: 'nan'"),
+            (["poison-certify", "--out", "c.json", "--data", "logits.csv", "--epsilon", "nan"],
+             "argument --epsilon: invalid finite_float value: 'nan'"),
+            (["synth", "--out", "x.csv", "--separation", "nan"],
+             "argument --separation: invalid finite_float value: 'nan'"),
+            (["train", "--out", "m.json", "--data", "d", "--lr=-inf"],
+             "argument --lr: invalid finite_float value: '-inf'"),
+            (["calibrate", "--out", "r.json", "--data", "logits.csv", "--epsilon", "-0.5"],
+             "epsilon must be nonnegative"),
+            (["robust-predict", "--out", "x.csv", "--data", "d", "--record", "r",
+              "--config", "nan.cfg"], "nan.cfg:1: bad value for epsilon"),
         ],
         ids=["bad-value", "bad-float-list", "bad-int-list", "no-data", "no-model",
-             "abbreviation", "unread-flag", "no-command"],
+             "abbreviation", "unread-flag", "no-command", "nan-epsilon", "nan-in-grid",
+             "inf-grid", "nan-temperature", "nan-bias", "nan-poison-epsilon",
+             "nan-separation", "minus-inf-lr", "negative-calibrate-epsilon",
+             "nan-epsilon-in-config"],
     )
-    def test_parser_error_is_json(self, capsys, argv, message):
+    def test_parser_error_is_json(self, tmp_path, monkeypatch, capsys, argv, message):
+        # relative paths resolve in tmp_path, which holds only these two files
+        monkeypatch.chdir(tmp_path)
+        rows = "".join(f"{i},{i % 2},{i / 10},{-i / 10}\n" for i in range(20))
+        Path("logits.csv").write_text("id,label,logit_0,logit_1\n" + rows)
+        Path("nan.cfg").write_text("epsilon=nan\n")
         code, stdout, stderr = run(argv, capsys)
         assert (code, stdout) == (1, "")
         assert message in json.loads(stderr)["error"]
+        assert sorted(os.listdir()) == ["logits.csv", "nan.cfg"]  # no output file
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -533,6 +564,19 @@ class TestMalformedFiles:
         assert code == 1
         assert stdout == ""
         assert message in json.loads(stderr)["error"]
+
+    def test_bad_logits_cell_names_its_line(self, workspace, capsys):
+        # the error is the logits file's own, not a retry as raw inputs
+        bad = workspace["tmp"] / "bad_logits.csv"
+        bad.write_text("id,label,logit_0,logit_1\n0,0,1.0,-1.0\n1,1,abc,0.5\n")
+        out = workspace["tmp"] / "sets.csv"
+        code, stdout, stderr = run(
+            ["predict", "--data", str(bad), "--record", str(workspace["record"]),
+             "--out", str(out)], capsys
+        )
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr)["error"].startswith(f"{bad}:3: non-numeric cell")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -11,7 +11,9 @@ and, with ``--parent``, once in the parent's checkout; the side that runs
 first alternates from pair to pair. Each run's two output lines, the details
 and the result, are saved under "runs"; runs already in the file are kept.
 "summary" gives, per workload and side, the median and quartiles of every
-untraced end-to-end metric, and how many pairs the change read lower.
+untraced end-to-end metric, and how many pairs the change read lower; its
+"digests_differ" names each artifact whose sha256 differs between the two
+sides at one seed, with those seeds.
 
 Run it from a fresh copy of the change and point ``--parent`` at a fresh
 copy of the parent (``git archive``): with bytecode writing off, a tree that
@@ -55,7 +57,25 @@ def summary(runs: list[dict]) -> dict:
             if pairs:
                 row["change_lower_in"] = f"{sum(c < p for p, c in pairs)}/{len(pairs)}"
             out.setdefault(workload, {})[metric] = row
+        out[workload]["digests_differ"] = digests_differ(
+            [r for r in untraced if r["workload"] == workload]
+        )
     return out
+
+
+def digests_differ(runs: list[dict]) -> dict:
+    """Each artifact whose sha256 differs between parent and change at the
+    same seed, with those seeds (empty when every pair matches)."""
+    digests = {(r["side"], r["seed"]): r["details"]["digests"] for r in runs}
+    differ: dict = {}
+    for (side, seed), change in sorted(digests.items()):
+        parent = digests.get(("parent", seed))
+        if side != "change" or parent is None:
+            continue
+        for name in sorted(set(parent) | set(change)):
+            if parent.get(name) != change.get(name):
+                differ.setdefault(name, []).append(seed)
+    return differ
 
 
 def main() -> int:
