@@ -8,7 +8,6 @@ empirical adversary every certificate in the toolkit is validated against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from .audit import critical_epsilons
 from .conformal import CalibrationRecord, coverage_from_membership, vanilla_membership
 from .lipnet import LipschitzClassifier, Trace, forward, input_gradient_batch
 from .rng import substream
-from .scores import score, score_all
+from .scores import check_budget, score, score_all
 
 MAXIMIZE_TRUE_SCORE = "maximize_true_score"
 MINIMIZE_TRUE_SCORE = "minimize_true_score"
@@ -33,8 +32,7 @@ class AttackConfig:
     objective: str = MAXIMIZE_TRUE_SCORE
 
     def __post_init__(self):
-        if not 0 <= self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        check_budget(self.epsilon)
         if self.objective not in (MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE):
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.steps < 0:

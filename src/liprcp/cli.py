@@ -20,7 +20,9 @@ if "LIPRCP_THREADS" in os.environ:
 import argparse
 import json
 import math
+import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -184,22 +186,20 @@ def cmd_calibrate(opts: dict) -> dict:
     spec = _score_spec(opts)
     logits, labels, _, ln = _logits_and_labels(opts["data"], opts["model"])
     cal_scores = scores.score(spec, logits, labels)
-    alpha, epsilon = opts["alpha"], opts["epsilon"]
-    if epsilon != 0:
-        record = robust.robust_calibrate(cal_scores, alpha, epsilon, spec, ln)
-    else:
-        record = conformal.calibrate(cal_scores, alpha, spec, ln)
+    record = robust.robust_calibrate(cal_scores, opts["alpha"], opts["epsilon"], spec, ln)
     _write(Path(opts["out"]), record.to_json() + "\n")
     return {"path": opts["out"], "q_alpha": record.q_alpha, "n_cal": record.n_cal}
 
 
-def _load_record(path: str) -> conformal.CalibrationRecord:
-    return conformal.CalibrationRecord.from_json(Path(path).read_text())
+def _load_record(opts: dict, ln: float) -> conformal.CalibrationRecord:
+    """The --record file; with --model it certifies with that model's product ln."""
+    record = conformal.CalibrationRecord.from_json(Path(opts["record"]).read_text())
+    return record if opts["model"] is None else replace(record, lipschitz_product=ln)
 
 
 def cmd_predict(opts: dict) -> dict:
-    record = _load_record(opts["record"])
-    logits, labels, ids, _ = _logits_and_labels(opts["data"], opts["model"])
+    logits, labels, ids, ln = _logits_and_labels(opts["data"], opts["model"])
+    record = _load_record(opts, ln)
     membership = conformal.vanilla_membership(record, logits)
     _write(Path(opts["out"]), _sets_csv(ids, membership))
     return {
@@ -210,8 +210,8 @@ def cmd_predict(opts: dict) -> dict:
 
 
 def cmd_robust_predict(opts: dict) -> dict:
-    record = _load_record(opts["record"])
-    logits, labels, ids, _ = _logits_and_labels(opts["data"], opts["model"])
+    logits, labels, ids, ln = _logits_and_labels(opts["data"], opts["model"])
+    record = _load_record(opts, ln)
     epsilon, method = opts["epsilon"], opts["bound_method"]
     membership = robust.conservative_membership(record, logits, epsilon, method)
     if opts["check"]:
@@ -245,8 +245,8 @@ def _band_rows(band: audit.CertifiedBand) -> str:
 
 
 def cmd_audit(opts: dict) -> dict:
-    record = _load_record(opts["record"])
-    logits, labels, _, _ = _logits_and_labels(opts["data"], opts["model"])
+    logits, labels, _, ln = _logits_and_labels(opts["data"], opts["model"])
+    record = _load_record(opts, ln)
     band = _band(opts, record, logits, labels)
     covmax, covmin = band.covmax, band.covmin
     if opts["check"]:
@@ -269,8 +269,8 @@ def cmd_audit(opts: dict) -> dict:
 
 
 def cmd_attack_eval(opts: dict) -> dict:
-    record = _load_record(opts["record"])
     model = lipnet.from_json(Path(opts["model"]).read_text())
+    record = _load_record(opts, model.lipschitz_product)
     test = datasets.load_inputs_csv(opts["data"])
     shared = Path(opts["eval_data"]).resolve() == Path(opts["data"]).resolve()
     eval_ds = test if shared else datasets.load_inputs_csv(opts["eval_data"])
@@ -355,7 +355,12 @@ COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ConfigError for main to print as JSON; the
-    subcommand parsers inherit the class."""
+    subcommand parsers inherit the class. A value such as -1e-3 or -inf is
+    read as a number for its option's parser, not as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ConfigError(message)

@@ -67,6 +67,8 @@ class CalibrationRecord:
                 "calibration record: 'lipschitz_product' must be positive and finite,"
                 f" got {record.lipschitz_product}"
             )
+        if not math.isfinite(record.q_alpha):  # a NaN threshold empties every set
+            raise ValueError(f"calibration record: 'q_alpha' must be finite, got {record.q_alpha}")
         return record
 
 

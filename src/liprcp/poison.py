@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import CalibrationRecord, conformal_rank
-from .scores import ScoreSpec
+from .scores import ScoreSpec, check_budget
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class PoisonBudget:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("k must be nonnegative")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        check_budget(self.epsilon)
 
     @property
     def delta_score(self) -> float:

@@ -4,17 +4,20 @@ robust calibration that folds the certified score shift into the quantile.
 The canonical path is "vanilla threshold + bounded scores": a label enters
 the conservative set when its certified lower score bound is below q_alpha,
 and the restrictive set when its certified upper bound is. The shifted-
-quantile path (`robust_calibrate`) is equivalent for the global method by
-translation equivariance of rank statistics and exists to make that
-equivalence checkable.
+quantile path (`robust_calibrate`, the calibration-time shift of RSCP) is
+`calibrate` on scores raised by L_n * L_s * epsilon, for either score
+family. It is equivalent to the global method by translation equivariance
+of rank statistics and exists to make that equivalence checkable.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .conformal import CalibrationRecord, conformal_quantile
-from .scores import TIGHT_MONOTONE, ScoreSpec, lower_bound_all, upper_bound_all
+from .conformal import CalibrationRecord, calibrate
+from .scores import TIGHT_MONOTONE, ScoreSpec, check_budget, lower_bound_all, upper_bound_all
 
 
 def conservative_membership(
@@ -56,15 +59,8 @@ def robust_calibrate(
     same sets as testing globally lower-bounded scores against the vanilla
     quantile.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    check_budget(epsilon)
     shift = lipschitz_product * score_spec.score_lipschitz * epsilon
-    scores = np.asarray(cal_scores, dtype=float)
-    return CalibrationRecord(
-        q_alpha=conformal_quantile(scores + shift, alpha),
-        alpha=alpha,
-        n_cal=int(scores.size),
-        score_spec=score_spec,
-        lipschitz_product=lipschitz_product,
-        epsilon_calibrated=epsilon,
-    )
+    scores = np.asarray(cal_scores, dtype=float) + shift
+    record = calibrate(scores, alpha, score_spec, lipschitz_product)
+    return replace(record, epsilon_calibrated=epsilon)

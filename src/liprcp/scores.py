@@ -2,24 +2,26 @@
 
 Two score families are supported:
 
-* LAC sigmoid: ``1 - sigmoid((logit_y - b) / T)``, whose Lipschitz constant
-  w.r.t. the target logit is ``1 / (4 T)``.
+* LAC sigmoid: ``1 - sigmoid((logit_y - b) / T)``.
 * LAC softmax: ``1 - softmax(logits / T)_y``.
 
 Both are ``1 - sigmoid((h - offset) / scale)`` of a per-class margin h: the
 logit, b and T for sigmoid; ``-(T/2) log sum_{j != y} exp((l_j - l_y) / T)``,
-0 and T/2 for softmax. Each margin moves by at most as much as the logits.
+0 and T/2 for softmax. Each margin moves by at most as much as the logits
+in l2 (the softmax margin's gradient has l1 norm 1), so every score is
+``L_s = 1 / (4 scale)``-Lipschitz in the logits: 1/(4T) for sigmoid, 1/(2T)
+for softmax.
 
 For an ``L_n``-Lipschitz classifier and a perturbation budget ``epsilon``,
 two bounding methods are provided: the global Lipschitz bound
-``score +- L_n * L_s * epsilon`` (sigmoid only, since no global logit-space
-constant is available for the softmax score) and a tighter bound that moves
-every margin by ``L_n * epsilon``. The tight bound dominates the global one;
-for sigmoid it is exact on a single orthogonal affine layer.
+``score +- L_n * L_s * epsilon`` and a tighter bound that moves every
+margin by ``L_n * epsilon``. The tight bound dominates the global one; for
+sigmoid it is exact on a single orthogonal affine layer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +31,6 @@ LAC_SOFTMAX = "lac_softmax"
 
 GLOBAL_LIPSCHITZ = "global_lipschitz"
 TIGHT_MONOTONE = "tight_monotone"
-
-
-class UnsupportedMethodError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -46,21 +44,17 @@ class ScoreSpec:
     def __post_init__(self):
         if self.kind not in (LAC_SIGMOID, LAC_SOFTMAX):
             raise ValueError(f"unknown score kind {self.kind!r}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be in (0, inf), got {self.temperature}")
+        if not math.isfinite(self.bias) or (self.kind == LAC_SOFTMAX and self.bias != 0):
+            raise ValueError(f"bias must be finite, and 0 for {LAC_SOFTMAX}, got {self.bias}")
 
     @property
     def score_lipschitz(self) -> float:
-        """Lipschitz constant of the score w.r.t. the target logit.
-
-        Only defined for the sigmoid family: 1 / (4 T).
-        """
-        if self.kind != LAC_SIGMOID:
-            raise UnsupportedMethodError(
-                "no global Lipschitz constant is available for the softmax "
-                "score; use the tight_monotone bound"
-            )
-        return 1.0 / (4.0 * self.temperature)
+        """Lipschitz constant of the score w.r.t. the logits in l2:
+        1 / (4 scale) of the margin form, 1/(4T) for sigmoid and 1/(2T)
+        for softmax."""
+        return 1.0 / (4.0 * _margin_form(self)[1])
 
     def to_dict(self) -> dict:
         return {
@@ -91,6 +85,12 @@ def require_keys(doc, keys, what: str):
         if key not in doc:
             raise ValueError(f"{what} is missing key {key!r}")
     return doc
+
+
+def check_budget(epsilon: float) -> None:
+    """Raise ValueError unless the perturbation budget is in [0, inf)."""
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
 
 
 def _sigmoid(z):
@@ -202,13 +202,11 @@ def upper_bound_all(
 
 def _ball_bound(spec, logits, epsilon, lipschitz_product, method, sign):
     """The lower (sign 1) or upper (sign -1) bound of `method`."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    check_budget(epsilon)
     logits = np.asarray(logits, dtype=float)
     shift = sign * lipschitz_product * epsilon
     if method == TIGHT_MONOTONE:
         return _bound(spec, logits, shift)
     if method != GLOBAL_LIPSCHITZ:
         raise ValueError(f"unknown bound method {method!r}")
-    lip = spec.score_lipschitz  # raises for softmax, which has no global constant
-    return np.clip(score_all(spec, logits) - lip * shift, 0.0, 1.0)
+    return np.clip(score_all(spec, logits) - spec.score_lipschitz * shift, 0.0, 1.0)

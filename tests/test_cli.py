@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,10 @@ class TestOptionSets:
              "argument --separation: invalid finite_float value: 'nan'"),
             (["train", "--out", "m.json", "--data", "d", "--lr=-inf"],
              "argument --lr: invalid finite_float value: '-inf'"),
+            (["train", "--out", "m.json", "--data", "d", "--lr", "-inf"],
+             "argument --lr: invalid finite_float value: '-inf'"),
+            (["calibrate", "--out", "r.json", "--data", "logits.csv",
+              "--score-kind", "lac_softmax", "--bias", "5"], "0 for lac_softmax"),
             (["calibrate", "--out", "r.json", "--data", "logits.csv", "--epsilon", "-0.5"],
              "epsilon must be nonnegative"),
             (["robust-predict", "--out", "x.csv", "--data", "d", "--record", "r",
@@ -166,7 +171,8 @@ class TestOptionSets:
         ids=["bad-value", "bad-float-list", "bad-int-list", "no-data", "no-model",
              "abbreviation", "unread-flag", "no-command", "nan-epsilon", "nan-in-grid",
              "inf-grid", "nan-temperature", "nan-bias", "nan-poison-epsilon",
-             "nan-separation", "minus-inf-lr", "negative-calibrate-epsilon",
+             "nan-separation", "minus-inf-lr", "spaced-minus-inf-lr", "softmax-bias",
+             "negative-calibrate-epsilon",
              "nan-epsilon-in-config"],
     )
     def test_parser_error_is_json(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -179,6 +185,21 @@ class TestOptionSets:
         assert (code, stdout) == (1, "")
         assert message in json.loads(stderr)["error"]
         assert sorted(os.listdir()) == ["logits.csv", "nan.cfg"]  # no output file
+
+    def test_negative_exponent_value(self, tmp_path, capsys):
+        # argparse would read "-1e-3" as a flag; it must reach --bias's parser
+        data = tmp_path / "logits.csv"
+        rows = "".join(f"{i},{i % 2},{i / 10},{-i / 10}\n" for i in range(20))
+        data.write_text("id,label,logit_0,logit_1\n" + rows)
+        written = []
+        for bias in (["--bias", "-1e-3"], ["--bias=-1e-3"]):
+            out = tmp_path / "record.json"
+            code, _, stderr = run(["calibrate", "--data", str(data), "--out", str(out),
+                                   "--alpha", "0.2", *bias], capsys)
+            assert code == 0, stderr
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["score_spec"]["bias"] == -1e-3
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -340,13 +361,21 @@ class TestPipeline:
         tmp = workspace["tmp"]
         common = ["--data", str(workspace["eval"]), "--model", str(workspace["model"])]
         record = str(tmp / "softmax.json")
+        softmax = ["--score-kind", "lac_softmax", "--temperature", "0.5"]
         commands = [
-            ["calibrate", *common, "--out", record, "--alpha", "0.1",
-             "--score-kind", "lac_softmax", "--temperature", "0.5"],
+            ["calibrate", *common, "--out", str(tmp / "shifted.json"), "--epsilon", "0.1",
+             *softmax],
+            ["poison-certify", *common, "--out", str(tmp / "cert.json"), "--k", "3",
+             "--epsilon", "0.1", *softmax],
+            ["calibrate", *common, "--out", record, "--alpha", "0.1", *softmax],
             ["robust-predict", *common, "--record", record,
              "--out", str(tmp / "rsets.csv"), "--epsilon", "0.25", "--check"],
+            ["robust-predict", *common, "--record", record, "--out", str(tmp / "gsets.csv"),
+             "--epsilon", "0.25", "--bound-method", "global_lipschitz", "--check"],
             ["audit", *common, "--record", record, "--out", str(tmp / "band.csv"),
              "--check"],
+            ["audit", *common, "--record", record, "--out", str(tmp / "gband.csv"),
+             "--bound-method", "global_lipschitz", "--check"],
             ["attack-eval", *common, "--eval-data", str(workspace["eval"]),
              "--record", record, "--out", str(tmp / "attack.csv"),
              "--epsilon-grid", "0.0,0.25,0.5", "--attack-steps", "10", "--seed", "7",
@@ -394,9 +423,10 @@ class TestPipeline:
             assert mask.any()
             assert float(rows[1][2]) == float(member.sum(axis=1).mean())
 
-    @pytest.mark.parametrize("command", ["calibrate", "poison-certify"])
-    def test_model_parsed_once(self, workspace, capsys, monkeypatch, command):
-        # a scaled, non-orthogonal first layer makes the product differ from 1
+    @staticmethod
+    def scaled_model(workspace):
+        """The workspace model with its first layer doubled, and its product:
+        a scaled, non-orthogonal first layer makes the product differ from 1."""
         doc = json.loads(workspace["model"].read_text())
         doc["layers"][0]["weight"] = (2 * np.array(doc["layers"][0]["weight"])).tolist()
         doc["layers"][0]["orthogonal"] = False
@@ -404,6 +434,11 @@ class TestPipeline:
         scaled.write_text(json.dumps(doc))
         ln = cli.lipnet.from_json(scaled.read_text()).lipschitz_product
         assert ln > 1.5
+        return scaled, ln
+
+    @pytest.mark.parametrize("command", ["calibrate", "poison-certify"])
+    def test_model_parsed_once(self, workspace, capsys, monkeypatch, command):
+        scaled, ln = self.scaled_model(workspace)
         parses = []
         parse = cli.lipnet.from_json
         monkeypatch.setattr(
@@ -425,6 +460,33 @@ class TestPipeline:
                 score_lipschitz=cli.scores.ScoreSpec().score_lipschitz,
             )
             assert written["delta_score"] == budget.delta_score
+
+    def test_model_product_is_certified(self, workspace, capsys):
+        # robust-predict, audit and attack-eval certify with the product of
+        # --model: a record that understates it writes the same files as the
+        # record calibrated on that model
+        tmp = workspace["tmp"]
+        scaled, ln = self.scaled_model(workspace)
+        common = ["--data", str(workspace["eval"]), "--model", str(scaled)]
+        calibrated = tmp / "calibrated.json"
+        assert cli.main(["calibrate", *common, "--out", str(calibrated)]) == 0
+        doc = json.loads(calibrated.read_text())
+        assert doc["lipschitz_product"] == ln
+        understated = tmp / "understated.json"
+        understated.write_text(json.dumps({**doc, "lipschitz_product": 1.0}))
+        written = []
+        for record in (calibrated, understated):
+            out = tmp / record.stem
+            for argv in (
+                ["robust-predict", "--out", str(out / "rsets.csv"), "--epsilon", "0.3"],
+                ["audit", "--out", str(out / "band.csv")],
+                ["attack-eval", "--out", str(out / "attack.csv"), "--eval-data",
+                 str(workspace["eval"]), "--epsilon-grid", "0.0,0.3", "--attack-steps", "3"],
+            ):
+                code, _, stderr = run([*argv, *common, "--record", str(record)], capsys)
+                assert code == 0, stderr
+            written.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert written[0] == written[1]
 
     def test_poison_certify_json(self, workspace, capsys):
         out = workspace["tmp"] / "cert.json"
@@ -477,17 +539,16 @@ class TestCheckFailures:
         assert json.loads(stderr) == {"error": "invariant violated: band sandwich"}
         assert not (workspace["tmp"] / "band.csv").exists()
 
-    def test_attack_eval_escape(self, workspace, capsys):
-        # a record that understates the Lipschitz product a billionfold
-        # certifies a band that stays flat, and PGD escapes it
-        doc = json.loads(workspace["record"].read_text())
-        doc["lipschitz_product"] = 1e-9
-        record = workspace["tmp"] / "understated.json"
-        record.write_text(json.dumps(doc))
+    def test_attack_eval_escape(self, workspace, capsys, monkeypatch):
+        # budgets that understate the Lipschitz product a billionfold give a
+        # band that stays flat, and PGD escapes it
+        crit = cli.audit.critical_epsilons
+        monkeypatch.setattr(cli.audit, "critical_epsilons", lambda record, *args: crit(
+            replace(record, lipschitz_product=1e-9), *args))
         out = workspace["tmp"] / "attack.csv"
         argv = ["attack-eval", "--data", str(workspace["eval"]),
                 "--eval-data", str(workspace["eval"]), "--model", str(workspace["model"]),
-                "--record", str(record), "--out", str(out),
+                "--record", str(workspace["record"]), "--out", str(out),
                 "--epsilon-grid", "0.0,2.0", "--attack-steps", "10", "--seed", "4"]
         code, stdout, _ = run(argv, capsys)
         assert code == 0
@@ -589,9 +650,21 @@ class TestMalformedFiles:
             (lambda doc: {**doc, "lipschitz_product": 0.0}, "'lipschitz_product'"),
             (lambda doc: {**doc, "lipschitz_product": float("nan")}, "'lipschitz_product'"),
             (lambda doc: {**doc, "lipschitz_product": float("inf")}, "'lipschitz_product'"),
+            (lambda doc: {**doc, "q_alpha": float("nan")}, "'q_alpha'"),
+            (lambda doc: {**doc, "q_alpha": float("-inf")}, "'q_alpha'"),
+            (lambda doc: {**doc, "score_spec": {**doc["score_spec"], "temperature": float("nan")}},
+             "temperature"),
+            (lambda doc: {**doc, "score_spec": {**doc["score_spec"], "temperature": 0.0}},
+             "temperature"),
+            (lambda doc: {**doc, "score_spec": {**doc["score_spec"], "bias": float("inf")}},
+             "bias"),
+            (lambda doc: {**doc, "score_spec": {"kind": "lac_softmax", "temperature": 1.0,
+                                                "bias": 5.0}}, "bias"),
         ],
         ids=["no-q_alpha", "not-object", "null-q_alpha", "spec-no-kind",
-             "negative-lipschitz", "zero-lipschitz", "nan-lipschitz", "inf-lipschitz"],
+             "negative-lipschitz", "zero-lipschitz", "nan-lipschitz", "inf-lipschitz",
+             "nan-q_alpha", "minus-inf-q_alpha", "nan-temperature", "zero-temperature",
+             "inf-bias", "softmax-bias"],
     )
     def test_bad_record(self, workspace, capsys, edit, message):
         bad = workspace["tmp"] / "bad_record.json"

@@ -90,6 +90,11 @@ class TestQuantileShift:
         with pytest.raises(ValueError):
             quantile_shift([0.1, 0.2], 0.5, PoisonBudget(k=3, epsilon=0.1))
 
+    @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf")])
+    def test_bad_budget_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            PoisonBudget(k=1, epsilon=epsilon)
+
     def test_certificate_json(self):
         cert = quantile_shift(
             [0.1, 0.2, 0.3, 0.4], 0.5, PoisonBudget(k=1, epsilon=0.4)

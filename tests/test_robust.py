@@ -7,7 +7,19 @@ from liprcp.robust import (
     restrictive_membership,
     robust_calibrate,
 )
-from liprcp.scores import GLOBAL_LIPSCHITZ, TIGHT_MONOTONE, ScoreSpec, score_all
+from liprcp.scores import (
+    GLOBAL_LIPSCHITZ,
+    LAC_SOFTMAX,
+    TIGHT_MONOTONE,
+    ScoreSpec,
+    score_all,
+)
+
+FAMILIES = pytest.mark.parametrize(
+    "spec",
+    [ScoreSpec(temperature=1.5), ScoreSpec(kind=LAC_SOFTMAX, temperature=1.5)],
+    ids=["sigmoid", "softmax"],
+)
 
 
 def make_record(q=0.5, lip=1.0, spec=None):
@@ -73,17 +85,24 @@ class TestRobustCalibrate:
         assert rec.q_alpha == pytest.approx(0.325, abs=1e-12)
         assert rec.epsilon_calibrated == 0.1
 
-    def test_zero_epsilon_matches_vanilla(self):
+    @FAMILIES
+    def test_zero_epsilon_matches_vanilla(self, spec):
         scores = np.linspace(0, 1, 37)
-        a = robust_calibrate(scores, 0.2, 0.0, ScoreSpec())
-        b = calibrate(scores, 0.2, ScoreSpec())
-        assert a.q_alpha == b.q_alpha
+        a = robust_calibrate(scores, 0.2, 0.0, spec, lipschitz_product=1.7)
+        b = calibrate(scores, 0.2, spec, lipschitz_product=1.7)
+        assert a == b
+        assert a.to_json() == b.to_json()
 
-    def test_equivalence_with_conservative_inference(self):
+    @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf")])
+    def test_bad_budget_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            robust_calibrate(np.linspace(0, 1, 37), 0.2, epsilon, ScoreSpec())
+
+    @FAMILIES
+    def test_equivalence_with_conservative_inference(self, spec):
         # Calibrating on inflated scores then thresholding plain scores gives
         # the same sets as plain calibration plus a global lower bound check.
         rng = np.random.default_rng(11)
-        spec = ScoreSpec(temperature=1.5)
         cal_logits = rng.standard_normal((200, 4))
         cal_labels = rng.integers(0, 4, size=200)
         cal_scores = score_all(spec, cal_logits)[np.arange(200), cal_labels]

@@ -12,7 +12,6 @@ from liprcp.scores import (
     LAC_SOFTMAX,
     TIGHT_MONOTONE,
     ScoreSpec,
-    UnsupportedMethodError,
     lower_bound_all,
     _margins,
     margin_gap,
@@ -72,10 +71,22 @@ class TestGlobalBound:
         np.testing.assert_array_equal(lo, s)
         np.testing.assert_array_equal(hi, s)
 
-    def test_softmax_unsupported(self):
-        for bound in (lower_bound_all, upper_bound_all):
-            with pytest.raises(UnsupportedMethodError):
-                bound(SOFTMAX, np.array([[0.0, 1.0]]), 0.1, 1.0, GLOBAL_LIPSCHITZ)
+    def test_softmax_constant(self):
+        # the softmax margin form has scale T/2, so L_s = 1/(2T)
+        spec = ScoreSpec(kind=LAC_SOFTMAX, temperature=0.5)
+        assert spec.score_lipschitz == 1.0
+        logits = np.array([[1.0, 0.0]])
+        s = 1.0 / (1.0 + np.exp(2.0))
+        lo, hi = bounds(spec, logits, 0, 0.05, 1.0, GLOBAL_LIPSCHITZ)
+        np.testing.assert_allclose(lo, [s - 0.05])
+        np.testing.assert_allclose(hi, [s + 0.05])
+
+    @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf")])
+    def test_bad_budget_rejected(self, epsilon):
+        for method in (TIGHT_MONOTONE, GLOBAL_LIPSCHITZ):
+            for bound in (lower_bound_all, upper_bound_all):
+                with pytest.raises(ValueError, match="epsilon"):
+                    bound(SIGMOID, np.array([[0.0, 1.0]]), epsilon, 1.0, method)
 
 
 class TestTightBound:
@@ -85,15 +96,16 @@ class TestTightBound:
         np.testing.assert_allclose(hi, [np.e / (1.0 + np.e)], rtol=0, atol=1e-9)
 
     def test_dominates_global(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            logits = rng.standard_normal((1, 4)) * 3
-            eps = float(rng.uniform(0.01, 2.0))
-            t_lo, t_hi = bounds(SIGMOID, logits, slice(None), eps, 1.0)
-            g_lo, g_hi = bounds(SIGMOID, logits, slice(None), eps, 1.0, GLOBAL_LIPSCHITZ)
-            assert np.all(t_lo > g_lo - 1e-15)
-            assert np.all(t_hi < g_hi + 1e-15)
-            assert np.all(t_lo[g_lo > 0.0] > g_lo[g_lo > 0.0])
+        for spec in (SIGMOID, SOFTMAX):
+            rng = np.random.default_rng(0)
+            for _ in range(200):
+                logits = rng.standard_normal((1, 4)) * 3
+                eps = float(rng.uniform(0.01, 2.0))
+                t_lo, t_hi = bounds(spec, logits, slice(None), eps, 1.0)
+                g_lo, g_hi = bounds(spec, logits, slice(None), eps, 1.0, GLOBAL_LIPSCHITZ)
+                assert np.all(t_lo > g_lo - 1e-15)
+                assert np.all(t_hi < g_hi + 1e-15)
+                assert np.all(t_lo[g_lo > 0.0] > g_lo[g_lo > 0.0])
 
     def test_epsilon_zero_collapses(self):
         logits = np.array([[0.4, -1.0, 0.2], [2.0, 0.1, -3.0]])
@@ -141,9 +153,6 @@ class TestSoundnessSampling:
             eps = float(rng.uniform(0.0, 1.0))
             y = int(rng.integers(5))
             logits = lipnet.forward(model, x)
-            methods = [TIGHT_MONOTONE]
-            if spec.kind != LAC_SOFTMAX:
-                methods.append(GLOBAL_LIPSCHITZ)
             noise = rng.standard_normal((200, 5))
             noise *= (
                 eps
@@ -151,7 +160,7 @@ class TestSoundnessSampling:
                 / np.linalg.norm(noise, axis=1, keepdims=True)
             )
             sampled = score(spec, lipnet.forward(model, x + noise), np.full(200, y))
-            for method in methods:
+            for method in (TIGHT_MONOTONE, GLOBAL_LIPSCHITZ):
                 lo = lower_bound_all(spec, logits, eps, 1.0, method)[y]
                 hi = upper_bound_all(spec, logits, eps, 1.0, method)[y]
                 assert np.all(sampled >= lo - 1e-12)

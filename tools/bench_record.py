@@ -13,7 +13,12 @@ and the result, are saved under "runs"; runs already in the file are kept.
 "summary" gives, per workload and side, the median and quartiles of every
 untraced end-to-end metric, and how many pairs the change read lower; its
 "digests_differ" names each artifact whose sha256 differs between the two
-sides at one seed, with those seeds.
+sides at one seed, with those seeds. With both sides, each metric also gets
+its relative median change and a verdict against its ``bound`` in
+``BENCHMARK.json``, read as a fraction of the parent's median: "worse" when
+the change's median is worse by more than the bound, "unresolved" when the
+parent's interquartile range is wider than the bound and not every change
+run beats every parent run, and "within" otherwise.
 
 Run it from a fresh copy of the change and point ``--parent`` at a fresh
 copy of the parent (``git archive``): with bytecode writing off, a tree that
@@ -39,23 +44,44 @@ def bench(repo: Path, workload: str, seed: int, seconds: float, trace: int) -> d
             "result": result}
 
 
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """The relative median change of `change` against `parent` and its verdict."""
+    p_q1, p_med, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    sign = 1.0 if better == "lower" else -1.0
+    relative = statistics.median(change) / p_med - 1.0
+    all_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if (p_q3 - p_q1) / p_med > bound and not all_better:
+        word = "unresolved"
+    else:
+        word = "worse" if sign * relative > bound else "within"
+    return {"relative_change": relative, "verdict": word}
+
+
 def summary(runs: list[dict]) -> dict:
     out: dict = {}
     untraced = [r for r in runs if not r["trace"]]
+    metrics = {m["name"]: m for m in BENCHMARK["end_to_end"]}
     for workload in sorted({r["workload"] for r in untraced}):
         for metric in untraced[0]["result"]["metrics"]:
             value = {(r["side"], r["seed"]): r["result"]["metrics"][metric]["value"]
                      for r in untraced if r["workload"] == workload}
-            row = {}
+            row, vals = {}, {}
             for side in ("parent", "change"):
-                vals = [v for (s, _), v in value.items() if s == side]
-                if len(vals) >= 2:
-                    q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive")
-                    row[side] = {"median": med, "q1": q1, "q3": q3, "runs": len(vals)}
+                vals[side] = [v for (s, _), v in value.items() if s == side]
+                if len(vals[side]) >= 2:
+                    q1, med, q3 = statistics.quantiles(vals[side], n=4, method="inclusive")
+                    row[side] = {"median": med, "q1": q1, "q3": q3, "runs": len(vals[side])}
             pairs = [(value[("parent", s)], v) for (side, s), v in value.items()
                      if side == "change" and ("parent", s) in value]
             if pairs:
                 row["change_lower_in"] = f"{sum(c < p for p, c in pairs)}/{len(pairs)}"
+            if "parent" in row and "change" in row:
+                spec = metrics[metric]
+                row.update(verdict(vals["parent"], vals["change"], spec["better"],
+                                   spec["bound"]))
             out.setdefault(workload, {})[metric] = row
         out[workload]["digests_differ"] = digests_differ(
             [r for r in untraced if r["workload"] == workload]
