@@ -7,13 +7,7 @@ from liprcp.robust import (
     restrictive_membership,
     robust_calibrate,
 )
-from liprcp.scores import (
-    GLOBAL_LIPSCHITZ,
-    LAC_SOFTMAX,
-    TIGHT_MONOTONE,
-    ScoreSpec,
-    score_all,
-)
+from liprcp.scores import GLOBAL_LIPSCHITZ, LAC_SOFTMAX, TIGHT_MONOTONE, ScoreSpec, score_all
 
 FAMILIES = pytest.mark.parametrize(
     "spec",

@@ -44,7 +44,7 @@ def bench(repo: Path, workload: str, seed: int, seconds: float, trace: int) -> d
             "result": result}
 
 
-BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -63,7 +63,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
 def summary(runs: list[dict]) -> dict:
     out: dict = {}
     untraced = [r for r in runs if not r["trace"]]
-    metrics = {m["name"]: m for m in BENCHMARK["end_to_end"]}
+    metrics = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     for workload in sorted({r["workload"] for r in untraced}):
         for metric in untraced[0]["result"]["metrics"]:
             value = {(r["side"], r["seed"]): r["result"]["metrics"][metric]["value"]
