@@ -125,8 +125,9 @@ def critical_epsilons(
 
     A row is covered at epsilon = 0 iff its score is <= q_alpha, as in the
     vanilla set. A tight budget is the margin gap between the score and
-    q_alpha (`scores.margin_gap`) over L, for both score families, rounded
-    toward 0. q_alpha is clipped to [0, 1]; at 0 or 1 budgets are infinite.
+    q_alpha (`scores.margin_gap`) over L, for both score families; a global
+    one is the score gap over L * L_s. Both are rounded toward 0. q_alpha is
+    clipped to [0, 1]; at 0 or 1 budgets are infinite.
     """
     s = np.asarray(eval_scores_true_label, dtype=float)
     q = cal.q_alpha
@@ -134,14 +135,14 @@ def critical_epsilons(
     ln = cal.lipschitz_product
     covered = s <= q
     # one budget per row: the exit of a covered row, the entry of the others
-    if method == TIGHT_MONOTONE:
-        above = np.where(covered, s + _WIDEN, q)
-        below = np.where(covered, q, s - _WIDEN)
-        budget = margin_gap(spec, above, below) / ln * _SHRINK
-    elif method == GLOBAL_LIPSCHITZ:
-        budget = np.abs(q - s) / (ln * spec.score_lipschitz)
-    else:
+    if method not in (TIGHT_MONOTONE, GLOBAL_LIPSCHITZ):
         raise ValueError(f"unknown bound method {method!r}")
+    above = np.where(covered, s + _WIDEN, q)
+    below = np.where(covered, q, s - _WIDEN)
+    if method == TIGHT_MONOTONE:
+        budget = margin_gap(spec, above, below) / ln * _SHRINK
+    else:
+        budget = (below - above) / (ln * spec.score_lipschitz) * _SHRINK
     # fmax turns a nan budget (score within 2^-52 of q = 0 or 1) into ~0
     entry = np.where(covered, 0.0, np.fmax(budget, np.nextafter(0.0, 1.0)))
     exit_ = np.where(covered, np.fmax(budget, 0.0), NEVER)

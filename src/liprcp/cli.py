@@ -72,6 +72,13 @@ _SCHEMA = {
 }
 
 
+_HELP = {
+    "hidden_dims": "comma-separated hidden layer widths (default: one layer as wide "
+                   "as the data); layers may not widen, so each width is at most the "
+                   "one before it, and the class count at most the last",
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -112,9 +119,11 @@ def _score_spec(opts: dict) -> scores.ScoreSpec:
     )
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text) -> None:
+    """Write `text`, a str or an iterable of str chunks written as they come."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _logits_and_labels(data_path: str, model_path: str | None):
@@ -139,11 +148,16 @@ def _logits_and_labels(data_path: str, model_path: str | None):
 
 
 def _sets_csv(ids, membership) -> str:
-    lines = ["id,set_size,members"]
-    for rid, row in zip(ids, membership):
-        members = np.flatnonzero(row)
-        lines.append(f"{rid},{members.size},{';'.join(str(c) for c in members)}")
-    return "\n".join(lines) + "\n"
+    """id,set_size,members rows; each distinct membership row is formatted once."""
+    patterns, inverse = np.unique(
+        np.packbits(membership, axis=1), axis=0, return_inverse=True
+    )
+    tails = []
+    for packed in patterns:
+        members = np.flatnonzero(np.unpackbits(packed, count=membership.shape[1]))
+        tails.append(f",{members.size},{';'.join(map(str, members.tolist()))}\n")
+    rows = [f"{rid}{tails[k]}" for rid, k in zip(ids.tolist(), inverse.ravel().tolist())]
+    return "".join(["id,set_size,members\n", *rows])
 
 
 def cmd_synth(opts: dict) -> dict:
@@ -163,7 +177,14 @@ def cmd_train(opts: dict) -> dict:
     seed = opts["seed"]
     d = ds.data.shape[1]
     c = int(ds.labels.max()) + 1
-    dims = [d, *(opts["hidden_dims"] or [d]), c]
+    hidden = opts["hidden_dims"] or [d]
+    dims = [d, *hidden, c]
+    if not all(1 <= b <= a for a, b in zip(dims, dims[1:])):
+        # each layer keeps orthonormal rows, so none may be wider than its input
+        raise ConfigError(
+            f"--hidden-dims {','.join(map(str, hidden))}: layers may not widen, but the "
+            f"data has {d} columns and {c} classes (widths {dims})"
+        )
     layers = [
         lipnet.build_orthogonal(dims[i], dims[i + 1], seed=seed + i)
         for i in range(len(dims) - 1)
@@ -235,13 +256,17 @@ def _band(opts: dict, record, logits, labels) -> audit.CertifiedBand:
     return audit.certified_band(crit, opts["delta"], opts["correction_mode"])
 
 
-def _band_rows(band: audit.CertifiedBand) -> str:
+def _band_rows(band: audit.CertifiedBand):
+    """The band CSV as text chunks of at most 2 048 rows, so that only one
+    chunk's strings are alive at a time."""
     covmax, covmin = band.covmax, band.covmin
     grid = np.unique(np.concatenate([[0.0], covmax.breakpoints, covmin.breakpoints]))
-    columns = [grid, band.lower(grid), covmin(grid), covmax(grid), band.upper(grid)]
-    lines = ["epsilon,covmin_minus,covmin_emp,covmax_emp,covmax_plus"]
-    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
-    return "\n".join(lines) + "\n"
+    table = np.stack([grid, band.lower(grid), covmin(grid), covmax(grid), band.upper(grid)], 1)
+    yield "epsilon,covmin_minus,covmin_emp,covmax_emp,covmax_plus\n"
+    for start in range(0, len(table), 2048):
+        cells = table[start : start + 2048]
+        # %r of a Python float is its repr, the lossless form
+        yield ("%r,%r,%r,%r,%r\n" * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def cmd_audit(opts: dict) -> dict:
@@ -380,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + key.replace("_", "-"), dest=key, required=required)
         for key in command.options:  # absent unless given, so they override
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=_SCHEMA[key],
-                           default=argparse.SUPPRESS)
+                           default=argparse.SUPPRESS, help=_HELP.get(key))
     return parser
 
 

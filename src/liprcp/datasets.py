@@ -116,8 +116,37 @@ def _load_csv(path, prefix: str, kind: str) -> LabeledDataset:
         fh.seek(0)
         lines = fh.read().splitlines()
     width = len(header) - 2
+    body = lines[1:]
+    ids, labels, data = _parse_fast(body, width) or _parse(path, body, width)
+    return LabeledDataset(data=data, labels=labels, ids=ids, kind=kind)
+
+
+def _parse_fast(body: list, width: int):
+    """(ids, labels, data) of the body lines from one np.loadtxt call, or
+    None when `_parse` must decide: on an empty body, a line with another
+    column count (loadtxt's usecols would drop extra cells), or any cell
+    that loadtxt rejects. loadtxt reads a number as float() and int() do,
+    and rejects every form they alone accept (1_0, Unicode digits), so the
+    lines it accepts read the same on either path."""
+    if {line.count(",") for line in body} != {width + 1}:
+        return None
+    try:
+        rows = np.loadtxt(
+            body, dtype=[("label", np.int64), ("x", np.float64, (width,))],
+            delimiter=",", comments=None, usecols=range(1, width + 2), ndmin=1,
+        )
+    except ValueError:
+        return None
+    ids = np.array([line[: line.index(",")] for line in body])
+    # contiguous copies, as the loop makes: the record array is then freed
+    return ids, rows["label"].copy(), rows["x"].copy()
+
+
+def _parse(path, body: list, width: int):
+    """(ids, labels, data) of the body lines, cell by cell; the first bad
+    line raises with its number."""
     ids, labels, rows = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         cells = line.split(",")
         if len(cells) != width + 2:
             raise CsvFormatError(
@@ -129,12 +158,8 @@ def _load_csv(path, prefix: str, kind: str) -> LabeledDataset:
         except ValueError as exc:
             raise CsvFormatError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
         ids.append(cells[0])
-    return LabeledDataset(
-        data=np.array(rows, dtype=float).reshape(len(rows), width),
-        labels=np.array(labels),
-        ids=np.array(ids),
-        kind=kind,
-    )
+    data = np.array(rows, dtype=float).reshape(len(rows), width)
+    return np.array(ids), np.array(labels), data
 
 
 def load_logits_csv(path) -> LabeledDataset:

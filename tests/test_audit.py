@@ -23,6 +23,7 @@ from liprcp.conformal import CalibrationRecord
 from liprcp.robust import conservative_membership, restrictive_membership
 from liprcp.scores import (
     GLOBAL_LIPSCHITZ,
+    LAC_SIGMOID,
     LAC_SOFTMAX,
     TIGHT_MONOTONE,
     ScoreSpec,
@@ -106,6 +107,25 @@ class TestCriticalEpsilons:
         assert np.all(tight.entry >= glob.entry - 1e-12)
         finite = np.isfinite(glob.exit)
         assert np.all(tight.exit[finite] >= glob.exit[finite] - 1e-12)
+
+    @pytest.mark.parametrize("kind", [LAC_SIGMOID, LAC_SOFTMAX])
+    def test_global_exit_keeps_the_label(self, kind):
+        # the global restrictive set at a row's exit budget still holds its
+        # label; unrounded, |q - s| / (L L_s) dropped 53 (sigmoid) and 47
+        # (softmax) of these 2 000 rows
+        rng = np.random.default_rng(32)
+        spec = ScoreSpec(kind=kind)
+        kept = []
+        for _ in range(100):
+            logits = rng.normal(0.0, 3.0, size=(500, 4))
+            labels = rng.integers(0, 4, size=500)
+            s = score_all(spec, logits)[np.arange(500), labels]
+            rec = make_record(q=float(np.median(s)), lip=rng.uniform(0.5, 2.0), spec=spec)
+            crit = critical_epsilons(rec, s, GLOBAL_LIPSCHITZ)
+            for i in np.flatnonzero(crit.exit > 0)[:20]:
+                member = restrictive_membership(rec, logits[i], crit.exit[i], GLOBAL_LIPSCHITZ)
+                kept.append(member[0, labels[i]])
+        assert len(kept) == 2000 and all(kept)
 
     def test_softmax_flip_budgets_match_set_membership(self):
         rng = np.random.default_rng(31)
@@ -433,4 +453,4 @@ class TestClopperPearsonArrays:
         for eps in grid:
             cells = [eps, band.lower(eps), covmin(eps), covmax(eps), band.upper(eps)]
             lines.append(",".join(repr(float(v)) for v in cells))
-        assert cli._band_rows(band) == "\n".join(lines) + "\n"
+        assert "".join(cli._band_rows(band)) == "\n".join(lines) + "\n"

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liprcp import cli
+from liprcp import audit, cli, conformal, scores
 
 
 def run(argv, capsys):
@@ -297,6 +298,25 @@ class TestPipeline:
         assert code == 0
         assert doc["train_accuracy"] >= 0.9
         assert doc["lipschitz_product"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("hidden", ["8", "4,3,4", "1"])
+    def test_train_rejects_widening_layers(self, workspace, capsys, hidden):
+        # the data has 4 columns and 2 classes
+        out = workspace["tmp"] / "wide.json"
+        code, stdout, stderr = run(
+            ["train", "--data", str(workspace["data"]), "--out", str(out),
+             "--hidden-dims", hidden, "--epochs", "1"], capsys
+        )
+        assert (code, stdout) == (1, "")
+        message = json.loads(stderr)["error"]
+        assert message.startswith(f"--hidden-dims {hidden}: layers may not widen")
+        assert "4 columns and 2 classes" in message
+        assert not out.exists()
+
+    def test_train_help_says_layers_may_not_widen(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["train", "--help"])
+        assert "layers may not widen" in " ".join(capsys.readouterr().out.split())
 
     def test_predict_outputs_sets(self, workspace, capsys):
         out = workspace["tmp"] / "sets.csv"
@@ -752,3 +772,46 @@ class TestReproducibility:
         for out in (a, b):
             run(["synth", "--out", str(out), "--n", "50", "--seed", "11"], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _sets_csv_per_row(ids, membership):
+    """The per-row formatter that `cli._sets_csv` replaced, kept as its oracle."""
+    lines = ["id,set_size,members"]
+    for rid, row in zip(ids, membership):
+        members = np.flatnonzero(row)
+        lines.append(f"{rid},{members.size},{';'.join(str(c) for c in members)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestWriters:
+    @pytest.mark.parametrize("c", [2, 8, 9, 17])
+    @pytest.mark.parametrize("n", [0, 1, 700])
+    def test_sets_csv_matches_per_row_formatter(self, n, c):
+        rng = np.random.default_rng(100 * c + n)
+        # each row has its own density, so sets range from empty to full
+        membership = rng.random((n, c)) < rng.random((n, 1))
+        membership[::5] = False
+        membership[1::5] = True
+        # ids as the loader gives them: str, or float64 when there are no rows
+        ids = np.array([f"r{i}" for i in rng.permutation(n)])
+        assert cli._sets_csv(ids, membership) == _sets_csv_per_row(ids, membership)
+
+    def test_band_is_written_a_block_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(33)
+        rec = conformal.CalibrationRecord(
+            q_alpha=0.6, alpha=0.1, n_cal=100, score_spec=scores.ScoreSpec(),
+            lipschitz_product=1.0,
+        )
+        band = audit.certified_band(audit.critical_epsilons(rec, rng.uniform(size=20_000)), 0.1)
+        out = tmp_path / "band.csv"
+        tracemalloc.start()
+        try:
+            cli._write(out, cli._band_rows(band))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = len(out.read_text().splitlines()) - 1
+        assert rows > 20_000
+        # the five float columns, held twice while they are stacked, and a
+        # quarter of the file's text: the whole file's rows would not fit
+        assert peak < 2 * 5 * 8 * rows + out.stat().st_size / 4

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,3 +214,108 @@ class TestCsvRoundTrip:
         p.write_text("id,label,logit_0\n0,1,abc\n")
         with pytest.raises(CsvFormatError):
             load_logits_csv(p)
+
+
+# str.splitlines breaks a line at each of these; no cell or id may hold one
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_ODD_CELLS = [
+    "nan", "-nan", "+nan", "NaN", "inf", "-inf", "+Infinity", "1e5", "1E-5", "-0",
+    "+.5", "5.", "007", "1_0", "\u0661\u0662", "\u0663", "#", "#1", "1#", "", " ",
+    "0x10", "1e", "1e400", "1.5j", "abc", "+1", "--1", "9223372036854775808", "1.0",
+]
+_number = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(_ODD_CELLS),
+)
+
+
+def _padded(number):
+    """Numbers, bare or padded with whitespace, ASCII or not."""
+    pad = st.sampled_from(["", "", " ", "\t", "\u2003", "\u00a0"])
+    return st.tuples(pad, number, pad).map("".join)
+
+
+_int = st.integers(-(2**63), 2**63).map(str)
+_junk = st.text(alphabet="0123456789+-.eE_ #nai\u0660\t", max_size=6)
+_id = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",),
+                           blacklist_characters="," + _LINE_BREAKS),
+    max_size=40,
+) | st.text(alphabet="ab", min_size=200, max_size=300)
+
+
+@st.composite
+def _cell_file(draw):
+    """(width, body lines): rows of an id, a label and width cells, now and
+    then one cell more or fewer. Half the files draw labels from integers
+    and cells from numbers only, so that whole files often reach loadtxt's
+    verdict; the others draw every cell from all strategies."""
+    width = draw(st.integers(0, 3))
+    numbers_only = draw(st.booleans())
+    cell = _padded(_number) if numbers_only else _padded(_number) | _junk
+    label = _padded(_int) if numbers_only else _padded(_int) | cell
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        columns = width + 2 + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1]))
+        cells = draw(st.lists(cell, min_size=width + 1, max_size=width + 1))
+        lines.append(",".join([draw(_id), draw(label), *cells][:columns]))
+    return width, lines
+
+
+def _bits(ds):
+    return ds.data.shape, ds.data.tobytes(), ds.labels.tolist(), ds.ids.dtype, ds.ids.tolist()
+
+
+class TestFastPath:
+    """`_parse_fast` (one np.loadtxt call) against the cell-by-cell loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell_file=_cell_file())
+    def test_accepts_only_what_the_loop_reads_the_same(self, tmp_path_factory, cell_file):
+        width, lines = cell_file
+        header = ",".join(["id", "label", *(f"x_{j}" for j in range(width))])
+        p = tmp_path_factory.getbasetemp() / "cells.csv"
+        p.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+
+        body = p.read_text(encoding="utf-8").splitlines()[1:]
+        fast = datasets._parse_fast(body, width)
+        if fast is not None:
+            ids, labels, data = datasets._parse(p, body, width)  # must not raise
+            assert ids.dtype == fast[0].dtype and ids.tolist() == fast[0].tolist()
+            assert labels.dtype == fast[1].dtype and labels.tolist() == fast[1].tolist()
+            assert data.shape == fast[2].shape and data.tobytes() == fast[2].tobytes()
+
+        def outcome(load):
+            try:
+                return _bits(load(p))
+            except Exception as exc:  # noqa: BLE001 - the error itself is compared
+                return type(exc).__name__, str(exc)
+
+        assert outcome(load_inputs_csv) == outcome(whole_file_loader)
+
+    def test_clean_file_takes_the_fast_path(self, tmp_path, monkeypatch):
+        p = tmp_path / "inputs.csv"
+        ds = make_gaussian_mixture(300, 4, 3, 2.0, seed=9)
+        save_csv(ds, p)
+        monkeypatch.setattr(datasets, "_parse", None)  # the loop would fail
+        back = load_inputs_csv(p)
+        assert back.data.tobytes() == ds.data.tobytes()
+        assert back.data.flags.c_contiguous and back.labels.flags.c_contiguous
+        assert back.ids.tolist() == [str(i) for i in range(300)]
+
+    def test_header_only_file_reads_zero_rows_without_warning(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("id,label,x_0,x_1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_inputs_csv(p)
+        assert _bits(ds) == _bits(whole_file_loader(p))
+        assert ds.data.shape == (0, 2)
+
+    def test_extra_cell_is_not_dropped(self, tmp_path):
+        # loadtxt's usecols would read only the first three cells
+        p = tmp_path / "extra.csv"
+        p.write_text("id,label,x_0\na,1,1,5\n")
+        with pytest.raises(CsvFormatError, match="expected 3 columns, got 4"):
+            load_inputs_csv(p)
