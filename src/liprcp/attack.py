@@ -14,7 +14,14 @@ import numpy as np
 
 from .audit import critical_epsilons
 from .conformal import CalibrationRecord, coverage_from_membership, vanilla_membership
-from .lipnet import LipschitzClassifier, Trace, forward, input_gradient_batch
+from .lipnet import (
+    BLOCK_ROWS,
+    LipschitzClassifier,
+    Trace,
+    forward,
+    input_gradient_batch,
+    row_blocks,
+)
 from .rng import substream
 from .scores import check_budget, score, score_all
 
@@ -48,21 +55,10 @@ class AttackConfig:
         return self.step_size if self.step_size is not None else self.epsilon / 4.0
 
 
-# rows per PGD block: a block's trace and step arrays stay cache-resident
-PGD_BLOCK_ROWS = 1024
-
-
 def _project_ball(delta: np.ndarray, epsilon: float) -> np.ndarray:
     """`delta` with each row longer than `epsilon` scaled onto the ball."""
     norms = np.linalg.norm(delta, axis=-1, keepdims=True)
     return delta * np.minimum(1.0, epsilon / np.maximum(norms, 1e-300))
-
-
-def _blocks(n: int, most: int) -> list[tuple[int, int]]:
-    """Split n rows into ceil(n / most) blocks of near-equal size."""
-    count = -(-n // most)
-    bounds = [k * n // count for k in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def pgd_attack_batch(
@@ -105,8 +101,8 @@ def pgd_attack_batch(
     above stay lost (for the minimize objective, the mirror images).
 
     Within a restart the attacked rows run in blocks of at most
-    `PGD_BLOCK_ROWS`, each through all its steps in one `lipnet.Trace` sized
-    for restart 0's widest block; a step is plain array arithmetic on the
+    `lipnet.BLOCK_ROWS`, each through all its steps in one `lipnet.Trace`
+    sized for restart 0's widest block; a step is plain array arithmetic on the
     block's rows, and stopped rows leave it by boolean indexing. Every row's
     arithmetic is independent of the others', so the result does not depend
     on the block size, as far as BLAS rounds each row of a product the same
@@ -130,7 +126,7 @@ def pgd_attack_batch(
     stop_when = cfg.objective == MINIMIZE_TRUE_SCORE
     rng = substream(cfg.seed, "pgd-restarts")
     # later restarts, over fewer rows, use blocks no wider than restart 0's
-    width = max(end - start for start, end in _blocks(ys.size, PGD_BLOCK_ROWS))
+    width = max(end - start for start, end in row_blocks(ys.size, BLOCK_ROWS))
     trace = Trace(model, width)
     best_delta = np.zeros((ys.size, x.shape[1]))
     best_logit, stopped = np.empty(ys.size), np.zeros(ys.size, dtype=bool)
@@ -153,7 +149,7 @@ def pgd_attack_batch(
         if live.size == 0:
             break
         noise = None if restart == 0 else rng.standard_normal(x.shape)
-        for start, end in _blocks(live.size, width):
+        for start, end in row_blocks(live.size, width):
             # each block row's position in ys, its input and its label
             slots = live[start:end]
             xb, yb = x[rows[slots]], ys[slots]

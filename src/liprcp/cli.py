@@ -126,6 +126,16 @@ def _write(path: Path, text) -> None:
         fh.writelines([text] if isinstance(text, str) else text)
 
 
+def _check_labels(path: str, labels: np.ndarray, classes: int) -> None:
+    """Reject a label that names no class; the loaders already rejected
+    negative ones."""
+    bad = np.flatnonzero(labels >= classes)
+    if bad.size:
+        raise datasets.CsvFormatError(
+            f"{path}:{bad[0] + 2}: label {labels[bad[0]]} names no class of {classes}"
+        )
+
+
 def _logits_and_labels(data_path: str, model_path: str | None):
     """Load a dataset, running the model forward when rows are raw inputs.
 
@@ -141,9 +151,11 @@ def _logits_and_labels(data_path: str, model_path: str | None):
         model = lipnet.from_json(Path(model_path).read_text())
     ln = 1.0 if model is None else model.lipschitz_product
     if ds.kind == datasets.PRECOMPUTED_LOGITS:
+        _check_labels(data_path, ds.labels, ds.data.shape[1])
         return ds.data, ds.labels, ds.ids, ln
     if model is None:
         raise ConfigError("raw-input data needs --model to produce logits")
+    _check_labels(data_path, ds.labels, model.n_classes)
     return lipnet.forward(model, ds.data), ds.labels, ds.ids, ln
 
 
@@ -297,23 +309,29 @@ def cmd_attack_eval(opts: dict) -> dict:
     model = lipnet.from_json(Path(opts["model"]).read_text())
     record = _load_record(opts, model.lipschitz_product)
     test = datasets.load_inputs_csv(opts["data"])
+    _check_labels(opts["data"], test.labels, model.n_classes)
     shared = Path(opts["eval_data"]).resolve() == Path(opts["data"]).resolve()
     eval_ds = test if shared else datasets.load_inputs_csv(opts["eval_data"])
-    band = _band(opts, record, lipnet.forward(model, eval_ds.data), eval_ds.labels)
+    _check_labels(opts["eval_data"], eval_ds.labels, model.n_classes)
     grid = opts["epsilon_grid"]
+    attacked = [
+        attack.coverage_under_attack(
+            model, record, test.data, test.labels,
+            attack.AttackConfig(
+                epsilon=eps,
+                steps=opts["attack_steps"],
+                step_size=opts["attack_step_size"],
+                restarts=opts["attack_restarts"],
+                seed=opts["seed"],
+            ),
+        )
+        for eps in grid
+    ]
+    # the band loads scipy, whose import then reuses the heap PGD freed
+    band = _band(opts, record, lipnet.forward(model, eval_ds.data), eval_ds.labels)
     lines = ["epsilon,coverage_under_attack,mean_set_size,band_lower,band_upper"]
     escapes = 0
-    for eps in grid:
-        acfg = attack.AttackConfig(
-            epsilon=eps,
-            steps=opts["attack_steps"],
-            step_size=opts["attack_step_size"],
-            restarts=opts["attack_restarts"],
-            seed=opts["seed"],
-        )
-        cov, size = attack.coverage_under_attack(
-            model, record, test.data, test.labels, acfg
-        )
+    for eps, (cov, size) in zip(grid, attacked):
         lo, hi = float(band.lower(eps)), float(band.upper(eps))
         escapes += not (lo <= cov <= hi)
         lines.append(",".join(map(repr, (eps, cov, size, lo, hi))))

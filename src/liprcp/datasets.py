@@ -124,10 +124,11 @@ def _load_csv(path, prefix: str, kind: str) -> LabeledDataset:
 def _parse_fast(body: list, width: int):
     """(ids, labels, data) of the body lines from one np.loadtxt call, or
     None when `_parse` must decide: on an empty body, a line with another
-    column count (loadtxt's usecols would drop extra cells), or any cell
-    that loadtxt rejects. loadtxt reads a number as float() and int() do,
-    and rejects every form they alone accept (1_0, Unicode digits), so the
-    lines it accepts read the same on either path."""
+    column count (loadtxt's usecols would drop extra cells), a negative
+    label, or any cell that loadtxt rejects, a label of 2^63 or more among
+    them. loadtxt reads a number as float() and int() do, and rejects every
+    form they alone accept (1_0, Unicode digits), so the lines it accepts
+    read the same on either path."""
     if {line.count(",") for line in body} != {width + 1}:
         return None
     try:
@@ -137,6 +138,8 @@ def _parse_fast(body: list, width: int):
         )
     except ValueError:
         return None
+    if np.any(rows["label"] < 0):
+        return None
     ids = np.array([line[: line.index(",")] for line in body])
     # contiguous copies, as the loop makes: the record array is then freed
     return ids, rows["label"].copy(), rows["x"].copy()
@@ -144,7 +147,8 @@ def _parse_fast(body: list, width: int):
 
 def _parse(path, body: list, width: int):
     """(ids, labels, data) of the body lines, cell by cell; the first bad
-    line raises with its number."""
+    line raises with its number. A label must be an int64 class index, in
+    [0, 2^63)."""
     ids, labels, rows = [], [], []
     for lineno, line in enumerate(body, start=2):
         cells = line.split(",")
@@ -153,10 +157,13 @@ def _parse(path, body: list, width: int):
                 f"{path}:{lineno}: expected {width + 2} columns, got {len(cells)}"
             )
         try:
-            labels.append(int(cells[1]))
+            label = int(cells[1])
             rows.append([float(v) for v in cells[2:]])
         except ValueError as exc:
             raise CsvFormatError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+        if not 0 <= label < 2**63:
+            raise CsvFormatError(f"{path}:{lineno}: label {label} is not in [0, 2^63)")
+        labels.append(label)
         ids.append(cells[0])
     data = np.array(rows, dtype=float).reshape(len(rows), width)
     return np.array(ids), np.array(labels), data

@@ -202,20 +202,45 @@ def build_orthogonal(in_dim: int, out_dim: int, seed: int) -> AffineLayer:
     return AffineLayer(weight=q[:out_dim], bias=np.zeros(out_dim), orthogonal=True)
 
 
+# rows per block of a batched pass: a block's trace stays cache-resident,
+# and the arrays of a pass do not grow with its row count
+BLOCK_ROWS = 1024
+
+
+def row_blocks(n: int, most: int) -> list[tuple[int, int]]:
+    """Split n rows into ceil(n / most) near-equal (start, end) blocks; no
+    rows make one empty block."""
+    count = max(1, -(-n // most))
+    bounds = [k * n // count for k in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def forward(model: LipschitzClassifier, x: np.ndarray) -> np.ndarray:
-    """Logits for a single input (d,) or a batch (n, d)."""
+    """Logits for a single input (d,) or a batch (n, d).
+
+    The rows run through one `Trace` in the near-equal blocks of
+    `row_blocks(n, BLOCK_ROWS)`, each block's logits copied into one (n, c)
+    array, so a pass holds one block's layer arrays, not n rows of each.
+    Every row's arithmetic is independent of the others', so the logits
+    equal those of one full-batch pass as far as BLAS rounds each row of a
+    product the same at any row count. OpenBLAS does not for a product of
+    few rows (a single row takes its matrix-vector path); in the shapes
+    probed it matched the full-batch product from 151 rows up. Above
+    `BLOCK_ROWS` rows every block has at least `BLOCK_ROWS` // 2 rows, and
+    up to `BLOCK_ROWS` rows there is one block, the full-batch pass itself.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != model.in_dim:
         raise DimensionError(
             f"input dim {x.shape[-1]} != model in_dim {model.in_dim}"
         )
-    h = x
-    last = len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
-        h = h @ layer.weight.T + layer.bias
-        if i < last:
-            h = groupsort2(h)
-    return h
+    rows = x.reshape(-1, model.in_dim)
+    blocks = row_blocks(rows.shape[0], BLOCK_ROWS)
+    trace = Trace(model, max(end - start for start, end in blocks))
+    out = np.empty((rows.shape[0], model.n_classes))
+    for start, end in blocks:
+        out[start:end] = trace.forward(rows[start:end])
+    return out.reshape(x.shape[:-1] + (model.n_classes,))
 
 
 class Trace:
@@ -227,9 +252,9 @@ class Trace:
     share buffers across layers, since each is needed for one layer at a
     time. A pass over m <= rows rows uses the leading m rows of every
     buffer, so the arrays it returns are views that the next pass
-    overwrites. The passes allocate no array with a row per input row, and
-    they run the same floating-point operations, in the same order, as
-    `forward` (which keeps no trace and frees each layer's arrays as it goes).
+    overwrites. The passes allocate no array with a row per input row.
+    `Trace.forward` is the one forward pass of the package: inference
+    (`forward`, block by block), training and the attack all run it.
 
     `params` holds the (weight, bias) pairs the passes use; training
     replaces it after every update.

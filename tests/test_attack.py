@@ -9,7 +9,6 @@ from liprcp import attack
 from liprcp.attack import (
     MAXIMIZE_TRUE_SCORE,
     MINIMIZE_TRUE_SCORE,
-    PGD_BLOCK_ROWS,
     AttackConfig,
     coverage_under_attack,
     pgd_attack_batch,
@@ -23,6 +22,7 @@ from liprcp.conformal import (
 )
 from liprcp.datasets import make_gaussian_mixture
 from liprcp.lipnet import (
+    BLOCK_ROWS,
     AffineLayer,
     LipschitzClassifier,
     Trace,
@@ -376,7 +376,7 @@ class TestStopping:
         assert np.all(np.linalg.norm(out - x, axis=1) <= 0.5 + 1e-10)
 
     @pytest.mark.parametrize(
-        "n", [PGD_BLOCK_ROWS - 1, PGD_BLOCK_ROWS + 1, 2 * PGD_BLOCK_ROWS + 3]
+        "n", [BLOCK_ROWS - 1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
     )
     def test_bit_identical_under_a_mask_and_in_one_block(self, monkeypatch, n):
         # few steps and several restarts keep the restart noise visible, so
@@ -390,7 +390,7 @@ class TestStopping:
             np.testing.assert_array_equal(bits(masked[mask]), bits(ref[mask]))
             np.testing.assert_array_equal(masked[~mask], x[~mask])
             with monkeypatch.context() as m:
-                m.setattr(attack, "PGD_BLOCK_ROWS", n)
+                m.setattr(attack, "BLOCK_ROWS", n)
                 whole = pgd_attack_batch(model, x, y, cfg, cal=rec)
             np.testing.assert_array_equal(bits(whole), bits(ref))
 
@@ -504,7 +504,7 @@ class TestAgainstParentOracle:
 
     @pytest.mark.parametrize("model_name", ["linear", "hidden5"])
     @pytest.mark.parametrize(
-        "n", [PGD_BLOCK_ROWS - 1, PGD_BLOCK_ROWS, PGD_BLOCK_ROWS + 1, 2 * PGD_BLOCK_ROWS + 3]
+        "n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
     )
     def test_pgd_bit_identical(self, model_name, n):
         rng = np.random.default_rng(n)
@@ -529,7 +529,7 @@ class TestAgainstParentOracle:
     def test_input_gradient_bit_identical(self, model_name, integer_valued):
         rng = np.random.default_rng(7)
         model = oracle_models(rng)[model_name]
-        n = PGD_BLOCK_ROWS + 1
+        n = BLOCK_ROWS + 1
         x = rng.standard_normal((n, 6))
         if integer_valued:
             # integer inputs and weights make tied GroupSort2 pairs common
@@ -557,7 +557,7 @@ class TestMemory:
         # the restart noise and the best perturbations are the only
         # batch-sized arrays alive together (the reference attack peaked at
         # 6.4 n d 8 bytes here); a block's trace and the few arrays each
-        # step allocates, all of PGD_BLOCK_ROWS rows, do not grow with n
+        # step allocates, all of BLOCK_ROWS rows, do not grow with n
         d = 32
         rng = np.random.default_rng(3)
         model = LipschitzClassifier(
@@ -568,7 +568,7 @@ class TestMemory:
         cfg = AttackConfig(epsilon=0.5, steps=3, restarts=2, seed=4)
         spec = ScoreSpec()
         rec = calibrate(score(spec, forward(model, x), y), 0.5, spec)
-        block_constant = 16 * PGD_BLOCK_ROWS * d * 8
+        block_constant = 16 * BLOCK_ROWS * d * 8
         # without a record, and with one that stops about half the rows
         for cal in (None, rec):
             tracemalloc.start()

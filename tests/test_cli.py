@@ -699,12 +699,79 @@ class TestMalformedFiles:
         assert message in json.loads(stderr)["error"]
 
 
+def _relabel(src, dst, label):
+    """A copy of the CSV `src` whose second row carries `label`."""
+    lines = src.read_text().splitlines()
+    cells = lines[2].split(",")
+    lines[2] = ",".join([cells[0], label, *cells[2:]])
+    dst.write_text("\n".join(lines) + "\n")
+
+
+_LABEL_READERS = {
+    "train": lambda w, bad: ["--data", bad],
+    "calibrate": lambda w, bad: ["--data", bad, "--model", w["model"]],
+    "predict": lambda w, bad: ["--data", bad, "--model", w["model"], "--record", w["record"]],
+    "robust-predict": lambda w, bad: ["--data", bad, "--model", w["model"],
+                                      "--record", w["record"], "--epsilon", "0.1"],
+    "audit": lambda w, bad: ["--data", bad, "--model", w["model"], "--record", w["record"]],
+    "attack-eval": lambda w, bad: ["--data", bad, "--eval-data", w["eval"],
+                                   "--model", w["model"], "--record", w["record"]],
+    "attack-eval-band": lambda w, bad: ["--data", w["eval"], "--eval-data", bad,
+                                        "--model", w["model"], "--record", w["record"]],
+    "poison-certify": lambda w, bad: ["--data", bad, "--model", w["model"], "--k", "2"],
+}
+
+
+class TestBadLabels:
+    """A label that names no class is one JSON error naming its line, in
+    every command that reads labels; -1 used to read as the last class."""
+
+    # train's labels define its classes, so there a label of 2 makes a third
+    @pytest.mark.parametrize("command, label", [
+        (command, label) for command in _LABEL_READERS for label in ["-1", "2", str(2**64)]
+        if (command, label) != ("train", "2")
+    ])
+    def test_raw_inputs(self, workspace, capsys, command, label):
+        bad = workspace["tmp"] / "bad.csv"
+        _relabel(workspace["eval"], bad, label)
+        files = {k: str(v) for k, v in workspace.items()}
+        argv = [command.removesuffix("-band"), *_LABEL_READERS[command](files, str(bad)),
+                "--out", str(workspace["tmp"] / "out" / "x")]
+        code, stdout, stderr = run(argv, capsys)
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr)["error"].startswith(f"{bad}:3: label {label} ")
+        assert not (workspace["tmp"] / "out").exists()
+
+    @pytest.mark.parametrize("label", ["-1", "2", str(2**64)])
+    def test_logits(self, workspace, capsys, label):
+        logits = workspace["tmp"] / "logits.csv"
+        logits.write_text("id,label,logit_0,logit_1\n0,0,5.0,-5.0\n1,1,5.0,-5.0\n")
+        bad = workspace["tmp"] / "bad.csv"
+        _relabel(logits, bad, label)
+        for command in ("calibrate", "predict", "audit", "poison-certify"):
+            argv = [command, "--data", str(bad), "--out", str(workspace["tmp"] / "x")]
+            if command in ("predict", "audit"):
+                argv += ["--record", str(workspace["record"])]
+            code, stdout, stderr = run(argv, capsys)
+            assert (code, stdout) == (1, "")
+            assert json.loads(stderr)["error"].startswith(f"{bad}:3: label {label} ")
+
+
 _SCIPY_PROBE = """
 import json, sys
-from liprcp import cli
+from liprcp import attack, cli
 
 def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+attack_calls = []
+coverage_under_attack = attack.coverage_under_attack
+
+def probe(*args):
+    attack_calls.append(scipy_loaded())
+    return coverage_under_attack(*args)
+
+attack.coverage_under_attack = probe
 
 d = sys.argv[1]
 io = {"data": d + "/data.csv", "model": d + "/model.json", "record": d + "/record.json"}
@@ -718,6 +785,9 @@ commands = [
      "--record", io["record"], "--out", d + "/rsets.csv", "--epsilon", "0.1"],
     ["poison-certify", "--data", io["data"], "--model", io["model"],
      "--out", d + "/cert.json", "--k", "2", "--epsilon", "0.1"],
+    ["attack-eval", "--data", io["data"], "--eval-data", io["data"],
+     "--model", io["model"], "--record", io["record"], "--out", d + "/attack.csv",
+     "--epsilon-grid", "0.1,0.5", "--attack-steps", "2"],
     ["audit", "--data", io["data"], "--model", io["model"], "--record", io["record"],
      "--out", d + "/band.csv"],
 ]
@@ -725,7 +795,7 @@ loaded = []
 for argv in commands:
     assert cli.main(argv) == 0, argv
     loaded.append([argv[0], scipy_loaded()])
-print(json.dumps(loaded))
+print(json.dumps({"commands": loaded, "attack_calls": attack_calls}))
 """
 
 
@@ -738,11 +808,14 @@ def test_scipy_loads_only_for_the_band(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert loaded == [
+    assert loaded["commands"] == [
         ["synth", False], ["train", False], ["calibrate", False],
         ["predict", False], ["robust-predict", False], ["poison-certify", False],
-        ["audit", True],
+        ["attack-eval", True], ["audit", True],
     ]
+    # attack-eval runs every attack before its band imports scipy, whose
+    # import then reuses the heap PGD freed instead of growing the peak
+    assert loaded["attack_calls"] == [False, False]
 
 
 class TestReproducibility:

@@ -94,10 +94,13 @@ def whole_file_loader(path):
                 f"{path}:{lineno}: expected {width + 2} columns, got {len(cells)}"
             )
         try:
-            labels.append(int(cells[1]))
+            label = int(cells[1])
             rows.append([float(v) for v in cells[2:]])
         except ValueError as exc:
             raise CsvFormatError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+        if not 0 <= label < 2**63:
+            raise CsvFormatError(f"{path}:{lineno}: label {label} is not in [0, 2^63)")
+        labels.append(label)
         ids.append(cells[0])
     return LabeledDataset(
         np.array(rows, dtype=float).reshape(len(rows), width),
@@ -312,6 +315,16 @@ class TestFastPath:
             ds = load_inputs_csv(p)
         assert _bits(ds) == _bits(whole_file_loader(p))
         assert ds.data.shape == (0, 2)
+
+    @pytest.mark.parametrize("label", ["-1", str(2**63), str(2**64)])
+    def test_label_outside_int64_class_indices_names_its_line(self, tmp_path, label):
+        # -1 would pass loadtxt's int64 cells and then read as the last class
+        p = tmp_path / "labels.csv"
+        p.write_text(f"id,label,x_0\na,0,1.5\nb,{label},2.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match=f"labels.csv:3: label {label} is not in"):
+                load_inputs_csv(p)
 
     def test_extra_cell_is_not_dropped(self, tmp_path):
         # loadtxt's usecols would read only the first three cells

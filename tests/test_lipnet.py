@@ -1,9 +1,12 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 
 from liprcp import lipnet
 from liprcp.lipnet import (
+    BLOCK_ROWS,
     AffineLayer,
     DimensionError,
     LipschitzClassifier,
@@ -153,6 +156,61 @@ class TestForward:
         model = linear_model(np.eye(3))
         with pytest.raises(DimensionError):
             forward(model, np.zeros(4))
+
+
+def forward_oracle(model, x):
+    """The forward pass as first written: one layer loop over the whole batch."""
+    h = np.asarray(x, dtype=float)
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        h = h @ layer.weight.T + layer.bias
+        if i < last:
+            h = groupsort2(h)
+    return h
+
+
+def blocked_forward_models(rng):
+    """A linear model, one with an odd hidden width of 5, and a 32-32-32-8 stack."""
+    last_hidden = rng.standard_normal((3, 5))
+    return {
+        "linear": (6, linear_model(rng.standard_normal((3, 6)), rng.standard_normal(3))),
+        "hidden5": (6, LipschitzClassifier(layers=(
+            AffineLayer(0.5 * rng.standard_normal((5, 6)), rng.standard_normal(5)),
+            AffineLayer(last_hidden, rng.standard_normal(3)),
+        ))),
+        "32-32-32-8": (32, random_deep_model(rng, dims=(32, 32, 32, 8))),
+    }
+
+
+class TestBlockedForward:
+    @pytest.mark.parametrize("model_name", ["linear", "hidden5", "32-32-32-8"])
+    def test_bit_identical_to_one_layer_loop(self, model_name):
+        rng = np.random.default_rng(17)
+        d, model = blocked_forward_models(rng)[model_name]
+        # one block up to BLOCK_ROWS rows, then 2 blocks of 512 and 513
+        # rows, 3 of 683 and 5 of 1 000; and a single input vector
+        shapes = [(n, d) for n in (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 1, 5000)] + [(d,)]
+        for shape in shapes:
+            x = rng.standard_normal(shape)
+            got, expected = forward(model, x), forward_oracle(model, x)
+            assert got.shape == expected.shape == shape[:-1] + (model.n_classes,)
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [4096, 16384])
+    def test_peak_is_the_logits_plus_one_block(self, n):
+        # the layer loop peaked at about 3 n d 8 bytes; the blocked pass
+        # holds the (n, c) logits and one trace of BLOCK_ROWS rows
+        d = 32
+        model = random_deep_model(np.random.default_rng(5), dims=(d, d, d, 8))
+        x = np.random.default_rng(6).standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * model.n_classes * 8 + 8 * BLOCK_ROWS * d * 8
 
 
 class TestLipschitzConstant:
