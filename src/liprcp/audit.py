@@ -42,6 +42,10 @@ _SHRINK = 1.0 - 2.0**-49
 # half-width of the bracket every inverted tail value must straddle
 _BRACKET = 1e-8
 
+# counts inverted per covmax_plus call, and band rows tabulated per block:
+# the temporaries of one block stay small whatever m is
+BLOCK_ROWS = 2048
+
 
 class BandInversionError(ValueError):
     """A Clopper-Pearson value failed its bracket check."""
@@ -240,6 +244,17 @@ def covmin_minus(m: int, miss_count, delta: float):
     return 1.0 - covmax_plus(m, miss_count, delta)
 
 
+def _in_blocks(bound, m: int, counts: np.ndarray, delta: float) -> np.ndarray:
+    """``bound(m, counts, delta)`` for an array of counts, `BLOCK_ROWS` counts
+    per call. Each value depends on its own count alone, so the result is
+    that of one call, and the first block that fails its bracket check names
+    the first bad count."""
+    out = np.empty(counts.size)
+    for start in range(0, counts.size, BLOCK_ROWS):
+        out[start : start + BLOCK_ROWS] = bound(m, counts[start : start + BLOCK_ROWS], delta)
+    return out
+
+
 @dataclass(frozen=True)
 class CertifiedBand:
     """Simultaneous (over all epsilon) bracket of coverage under attack,
@@ -277,6 +292,7 @@ def certified_band(
     bounds and the per-curve union over achievable counts. The corrected
     mode adds the +-1/m slack the uniform concentration proofs carry; the
     raw mode reproduces the uncorrected main statement for comparison.
+    Each curve's counts are inverted `BLOCK_ROWS` at a time.
     """
     m = crit.m
     if m < 2:
@@ -287,11 +303,11 @@ def certified_band(
     covmax, covmin = coverage_curves(crit)
     slack = 1.0 / m if correction_mode == APPENDIX_CORRECTED else 0.0
 
-    # one array inversion per curve, on the counts behind its steps
+    # each curve's inversions, on the counts behind its steps
     counts = np.rint(covmax.values * m).astype(int)
-    upper_vals = np.minimum(1.0, covmax_plus(m, counts, delta_prime) + slack)
+    upper_vals = np.minimum(1.0, _in_blocks(covmax_plus, m, counts, delta_prime) + slack)
     misses = np.rint((1.0 - covmin.values) * m).astype(int)
-    lower_vals = np.maximum(0.0, covmin_minus(m, misses, delta_prime) - slack)
+    lower_vals = np.maximum(0.0, _in_blocks(covmin_minus, m, misses, delta_prime) - slack)
 
     return CertifiedBand(
         m=m,

@@ -261,38 +261,58 @@ def cmd_robust_predict(opts: dict) -> dict:
     }
 
 
-def _band(opts: dict, record, logits, labels) -> audit.CertifiedBand:
-    """The certified band of `record` on labelled logits (audit, attack-eval)."""
-    eval_scores = scores.score(record.score_spec, logits, labels)
+def _band(opts: dict, record, eval_scores) -> audit.CertifiedBand:
+    """The certified band of `record` from the true-label scores of the
+    evaluation rows (audit, attack-eval). Building it loads scipy, so callers
+    drop their logits, labels and datasets first: the import then holds only
+    these n scores besides its own."""
     crit = audit.critical_epsilons(record, eval_scores, opts["bound_method"])
     return audit.certified_band(crit, opts["delta"], opts["correction_mode"])
 
 
+def _band_blocks(band: audit.CertifiedBand):
+    """The band's table in blocks of (epsilon, covmin_minus, covmin_emp,
+    covmax_emp, covmax_plus) rows, at 0 and at every breakpoint of either
+    curve, in increasing epsilon.
+
+    The two curves' sorted breakpoints are merged a block at a time: a block
+    ends at the lower of each curve's next `audit.BLOCK_ROWS`-th breakpoint,
+    so it has at most twice that many rows (the first one also has 0), and
+    no grid of all rows is built.
+    """
+    a, b = band.covmax.breakpoints, band.covmin.breakpoints
+    size, i, j = audit.BLOCK_ROWS, 0, 0
+    head = [0.0]  # the grid's first point, in the first block only
+    while head or i < a.size or j < b.size:
+        cut = min(a[i + size - 1] if i + size <= a.size else np.inf,
+                  b[j + size - 1] if j + size <= b.size else np.inf)
+        end_a, end_b = np.searchsorted(a, cut, "right"), np.searchsorted(b, cut, "right")
+        eps = np.unique(np.concatenate([head, a[i:end_a], b[j:end_b]]))
+        yield np.stack([eps, band.lower(eps), band.covmin(eps), band.covmax(eps),
+                        band.upper(eps)], 1)
+        head, i, j = [], end_a, end_b
+
+
 def _band_rows(band: audit.CertifiedBand):
-    """The band CSV as text chunks of at most 2 048 rows, so that only one
-    chunk's strings are alive at a time."""
-    covmax, covmin = band.covmax, band.covmin
-    grid = np.unique(np.concatenate([[0.0], covmax.breakpoints, covmin.breakpoints]))
-    table = np.stack([grid, band.lower(grid), covmin(grid), covmax(grid), band.upper(grid)], 1)
+    """The band CSV as text chunks, one per block of `_band_blocks`, so that
+    only one block's numbers and strings are alive at a time."""
     yield "epsilon,covmin_minus,covmin_emp,covmax_emp,covmax_plus\n"
-    for start in range(0, len(table), 2048):
-        cells = table[start : start + 2048]
+    for table in _band_blocks(band):
         # %r of a Python float is its repr, the lossless form
-        yield ("%r,%r,%r,%r,%r\n" * len(cells)) % tuple(cells.ravel().tolist())
+        yield ("%r,%r,%r,%r,%r\n" * len(table)) % tuple(table.ravel().tolist())
 
 
 def cmd_audit(opts: dict) -> dict:
-    logits, labels, _, ln = _logits_and_labels(opts["data"], opts["model"])
+    logits, labels, ids, ln = _logits_and_labels(opts["data"], opts["model"])
     record = _load_record(opts, ln)
-    band = _band(opts, record, logits, labels)
-    covmax, covmin = band.covmax, band.covmin
+    eval_scores = scores.score(record.score_spec, logits, labels)
+    del logits, labels, ids  # only the scores are alive when the band loads scipy
+    band = _band(opts, record, eval_scores)
     if opts["check"]:
-        grid = np.concatenate([[0.0], covmax.breakpoints, covmin.breakpoints])
-        ok = np.all(band.lower(grid) <= band.upper(grid)) and np.all(
-            covmin(grid) <= covmax(grid) + 1e-12
-        )
-        if not ok:
-            raise CheckError("invariant violated: band sandwich")
+        for table in _band_blocks(band):
+            _, lower, covmin, covmax, upper = table.T
+            if not (np.all(lower <= upper) and np.all(covmin <= covmax + 1e-12)):
+                raise CheckError("invariant violated: band sandwich")
     out = Path(opts["out"])
     _write(out, _band_rows(band))
     sidecar = band.sidecar({"alpha": record.alpha, "q_alpha": record.q_alpha})
@@ -301,7 +321,7 @@ def cmd_audit(opts: dict) -> dict:
         "path": str(out),
         "m": band.m,
         "delta": opts["delta"],
-        "breakpoints": int(covmax.breakpoints.size + covmin.breakpoints.size),
+        "breakpoints": int(band.covmax.breakpoints.size + band.covmin.breakpoints.size),
     }
 
 
@@ -313,6 +333,11 @@ def cmd_attack_eval(opts: dict) -> dict:
     shared = Path(opts["eval_data"]).resolve() == Path(opts["data"]).resolve()
     eval_ds = test if shared else datasets.load_inputs_csv(opts["eval_data"])
     _check_labels(opts["eval_data"], eval_ds.labels, model.n_classes)
+    if eval_ds.n < 2:  # the band's minimum, checked before any attack runs
+        raise ConfigError(
+            f"{opts['eval_data']}: certified band needs m >= 2 evaluation samples, "
+            f"got {eval_ds.n}"
+        )
     grid = opts["epsilon_grid"]
     attacked = [
         attack.coverage_under_attack(
@@ -328,7 +353,11 @@ def cmd_attack_eval(opts: dict) -> dict:
         for eps in grid
     ]
     # the band loads scipy, whose import then reuses the heap PGD freed
-    band = _band(opts, record, lipnet.forward(model, eval_ds.data), eval_ds.labels)
+    eval_scores = scores.score(
+        record.score_spec, lipnet.forward(model, eval_ds.data), eval_ds.labels
+    )
+    del test, eval_ds
+    band = _band(opts, record, eval_scores)
     lines = ["epsilon,coverage_under_attack,mean_set_size,band_lower,band_upper"]
     escapes = 0
     for eps, (cov, size) in zip(grid, attacked):

@@ -137,12 +137,17 @@ def _margins(spec: ScoreSpec, logits: np.ndarray) -> np.ndarray:
     return h.reshape(np.shape(logits))
 
 
+def _from_margins(spec: ScoreSpec, margins, shift: float = 0.0) -> np.ndarray:
+    """Scores of the given margins, each moved by `shift`."""
+    offset, scale = _margin_form(spec)
+    return 1.0 - _sigmoid((margins + shift - offset) / scale)
+
+
 def _bound(spec: ScoreSpec, logits: np.ndarray, shift: float) -> np.ndarray:
     """Scores of every class with each margin moved by `shift`: the scores
     at 0, and over a ball that moves each logit by at most r, the lowest at
     +r and the highest at -r."""
-    offset, scale = _margin_form(spec)
-    return 1.0 - _sigmoid((_margins(spec, logits) + shift - offset) / scale)
+    return _from_margins(spec, _margins(spec, logits), shift)
 
 
 def margin_gap(spec: ScoreSpec, s, t):
@@ -170,12 +175,18 @@ def score_all(spec: ScoreSpec, logits: np.ndarray) -> np.ndarray:
 
 
 def score(spec: ScoreSpec, logits: np.ndarray, y) -> float | np.ndarray:
-    """Non-conformity score of label y; vectorized over a logits batch."""
+    """Non-conformity score of label y; vectorized over a logits batch.
+
+    Only label y's margin is mapped to a score, so a batch costs O(n) beyond
+    the margins: none for sigmoid, whose margins are the logits, and the
+    (n, c) margins for softmax. Equal, bit for bit, to
+    ``score_all(spec, logits)[rows, y]``.
+    """
     logits = np.asarray(logits, dtype=float)
-    all_scores = score_all(spec, logits)
+    margins = _margins(spec, logits)
     if logits.ndim == 1:
-        return float(all_scores[y])
-    return all_scores[np.arange(logits.shape[0]), np.asarray(y)]
+        return float(_from_margins(spec, margins[y]))
+    return _from_margins(spec, margins[np.arange(logits.shape[0]), np.asarray(y)])
 
 
 def lower_bound_all(

@@ -368,6 +368,22 @@ class TestCertifiedBand:
         assert doc["alpha"] == 0.1
 
 
+def _assert_band_rows_match_per_epsilon_loop(s, q):
+    """`cli._band_rows` of the band of scores `s` equals the CSV formatted
+    row by row over the whole grid of breakpoints."""
+    from liprcp import cli
+
+    crit = critical_epsilons(make_record(q=q), s, TIGHT_MONOTONE)
+    band = certified_band(crit, 0.1)
+    covmax, covmin = coverage_curves(crit)
+    grid = np.unique(np.concatenate([[0.0], covmax.breakpoints, covmin.breakpoints]))
+    lines = ["epsilon,covmin_minus,covmin_emp,covmax_emp,covmax_plus"]
+    for eps in grid:
+        cells = [eps, band.lower(eps), covmin(eps), covmax(eps), band.upper(eps)]
+        lines.append(",".join(repr(float(v)) for v in cells))
+    assert "".join(cli._band_rows(band)) == "\n".join(lines) + "\n"
+
+
 class TestClopperPearsonArrays:
     def test_array_calls_match_scalar_calls(self):
         rng = np.random.default_rng(26)
@@ -440,17 +456,45 @@ class TestClopperPearsonArrays:
 
     @pytest.mark.parametrize("m", [2, 50, 3000])
     def test_band_rows_match_per_epsilon_loop(self, m):
-        from liprcp import cli
-
         rng = np.random.default_rng(29)
         # rounded scores give tied thresholds and repeated counts
         s = np.round(rng.uniform(size=m), 2)
-        crit = critical_epsilons(make_record(q=0.6), s, TIGHT_MONOTONE)
+        _assert_band_rows_match_per_epsilon_loop(s, q=0.6)
+
+    @pytest.mark.parametrize("q", [0.6, 0.97])
+    def test_band_rows_merge_blocks_of_both_curves(self, q):
+        # distinct scores give each curve several blocks of breakpoints
+        _assert_band_rows_match_per_epsilon_loop(
+            np.random.default_rng(29).uniform(size=9000), q
+        )
+
+    @pytest.mark.parametrize("m", [2, 2047, 2048, 2049, 5000])
+    def test_blocked_inversion_equals_one_call(self, m):
+        from liprcp import audit
+
+        rng = np.random.default_rng(30)
+        counts = np.sort(rng.integers(0, m + 1, size=m))
+        delta = 0.1 / (2 * m - 2)
+        for bound in (covmax_plus, covmin_minus):
+            got = audit._in_blocks(bound, m, counts, delta)
+            assert got.tobytes() == bound(m, counts, delta).tobytes()
+        # the band's own steps, when they span several blocks
+        crit = critical_epsilons(make_record(q=0.6), rng.uniform(size=m), TIGHT_MONOTONE)
         band = certified_band(crit, 0.1)
         covmax, covmin = coverage_curves(crit)
-        grid = np.unique(np.concatenate([[0.0], covmax.breakpoints, covmin.breakpoints]))
-        lines = ["epsilon,covmin_minus,covmin_emp,covmax_emp,covmax_plus"]
-        for eps in grid:
-            cells = [eps, band.lower(eps), covmin(eps), covmax(eps), band.upper(eps)]
-            lines.append(",".join(repr(float(v)) for v in cells))
-        assert "".join(cli._band_rows(band)) == "\n".join(lines) + "\n"
+        dp, slack = band.delta_prime, 1.0 / m
+        upper = np.minimum(1.0, covmax_plus(m, np.rint(covmax.values * m).astype(int), dp) + slack)
+        misses = np.rint((1.0 - covmin.values) * m).astype(int)
+        lower = np.maximum(0.0, covmin_minus(m, misses, dp) - slack)
+        assert band.upper.values.tobytes() == upper.tobytes()
+        assert band.lower.values.tobytes() == lower.tobytes()
+
+    def test_blocked_inversion_names_the_first_bad_count(self, monkeypatch):
+        from liprcp import audit
+
+        exact = audit.betaincinv
+        # counts 2100 and 4500, in the second and third blocks, get a wrong inverse
+        monkeypatch.setattr(audit, "betaincinv", lambda a, b, y: np.where(
+            np.isin(a, [2101, 4501]), exact(a, b, y) + 1e-6, exact(a, b, y)))
+        with pytest.raises(audit.BandInversionError, match=r"m=5000, count=2100,"):
+            audit._in_blocks(covmax_plus, 5000, np.arange(5001), 1e-5)

@@ -582,6 +582,23 @@ class TestCheckFailures:
         }
         assert out.read_bytes() == unchecked  # written before the check fails
 
+    def test_one_row_eval_data_fails_before_any_attack(self, workspace, capsys, monkeypatch):
+        one = workspace["tmp"] / "one.csv"
+        one.write_text("\n".join(workspace["eval"].read_text().splitlines()[:2]) + "\n")
+        calls = []
+        monkeypatch.setattr(cli.attack, "coverage_under_attack", lambda *a: calls.append(a))
+        out = workspace["tmp"] / "attack.csv"
+        code, stdout, stderr = run(
+            ["attack-eval", "--data", str(workspace["eval"]), "--eval-data", str(one),
+             "--model", str(workspace["model"]), "--record", str(workspace["record"]),
+             "--out", str(out), "--epsilon-grid", "0.5"], capsys
+        )
+        assert (code, stdout, calls) == (1, "", [])
+        assert json.loads(stderr) == {
+            "error": f"{one}: certified band needs m >= 2 evaluation samples, got 1"
+        }
+        assert not out.exists()
+
 
 class TestAttackOptions:
     @pytest.mark.parametrize(
@@ -758,8 +775,8 @@ class TestBadLabels:
 
 
 _SCIPY_PROBE = """
-import json, sys
-from liprcp import attack, cli
+import json, sys, weakref
+from liprcp import attack, audit, cli, datasets, lipnet
 
 def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
@@ -772,6 +789,33 @@ def probe(*args):
     return coverage_under_attack(*args)
 
 attack.coverage_under_attack = probe
+
+# weak references to the arrays the current command loaded or computed, and
+# per band command how many of them were alive at its first inversion
+refs = []
+alive_at_band = {}
+
+def keep(fn, arrays):
+    def wrapper(*args):
+        result = fn(*args)
+        refs.extend(weakref.ref(a) for a in arrays(result))
+        return result
+    return wrapper
+
+def fields(ds):
+    return ds.data, ds.labels, ds.ids
+
+datasets.load_logits_csv = keep(datasets.load_logits_csv, fields)
+datasets.load_inputs_csv = keep(datasets.load_inputs_csv, fields)
+lipnet.forward = keep(lipnet.forward, lambda logits: (logits,))
+betaincinv = audit.betaincinv
+
+def first_inversion(*args):
+    alive = sum(ref() is not None for ref in refs)
+    alive_at_band.setdefault(current[0], [alive, len(refs)])
+    return betaincinv(*args)
+
+audit.betaincinv = first_inversion
 
 d = sys.argv[1]
 io = {"data": d + "/data.csv", "model": d + "/model.json", "record": d + "/record.json"}
@@ -792,10 +836,14 @@ commands = [
      "--out", d + "/band.csv"],
 ]
 loaded = []
+current = [None]
 for argv in commands:
+    current[0] = argv[0]
+    refs.clear()
     assert cli.main(argv) == 0, argv
     loaded.append([argv[0], scipy_loaded()])
-print(json.dumps({"commands": loaded, "attack_calls": attack_calls}))
+print(json.dumps({"commands": loaded, "attack_calls": attack_calls,
+                  "alive_at_band": alive_at_band}))
 """
 
 
@@ -816,6 +864,12 @@ def test_scipy_loads_only_for_the_band(tmp_path):
     # attack-eval runs every attack before its band imports scipy, whose
     # import then reuses the heap PGD freed instead of growing the peak
     assert loaded["attack_calls"] == [False, False]
+    # the band commands drop their data, labels, ids and logits before the
+    # band loads scipy: only the true-label scores are alive then
+    alive = loaded["alive_at_band"]
+    assert sorted(alive) == ["attack-eval", "audit"]
+    for command, (live, tracked) in alive.items():
+        assert tracked >= 4 and live == 0, command
 
 
 class TestReproducibility:
@@ -875,7 +929,7 @@ class TestWriters:
             q_alpha=0.6, alpha=0.1, n_cal=100, score_spec=scores.ScoreSpec(),
             lipschitz_product=1.0,
         )
-        band = audit.certified_band(audit.critical_epsilons(rec, rng.uniform(size=20_000)), 0.1)
+        band = audit.certified_band(audit.critical_epsilons(rec, rng.uniform(size=100_000)), 0.1)
         out = tmp_path / "band.csv"
         tracemalloc.start()
         try:
@@ -884,7 +938,9 @@ class TestWriters:
         finally:
             tracemalloc.stop()
         rows = len(out.read_text().splitlines()) - 1
-        assert rows > 20_000
-        # the five float columns, held twice while they are stacked, and a
-        # quarter of the file's text: the whole file's rows would not fit
-        assert peak < 2 * 5 * 8 * rows + out.stat().st_size / 4
+        block = 2 * audit.BLOCK_ROWS + 1  # the most rows one block can hold
+        assert rows > 10 * block
+        # per block row: its five floats as Python floats in a list and a
+        # tuple (200 bytes), their text (under 100) and the float table
+        # (40), with room; a grid or a table of every row would not fit
+        assert peak < 400 * block

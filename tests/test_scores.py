@@ -16,6 +16,7 @@ from liprcp.scores import (
     _margins,
     margin_gap,
     score,
+    score_all,
     upper_bound_all,
 )
 
@@ -55,6 +56,54 @@ class TestScore:
         spec = ScoreSpec(temperature=temp, bias=bias)
         s = score(spec, np.array([logit, 0.0]), 0)
         assert 0.0 <= s <= 1.0
+
+
+@st.composite
+def _true_label_case(draw):
+    """(spec, logits, y): either family, T in [0.05, 5], logits up to +-60
+    with signed zeros and ties at the top class, softmax with a single
+    class, and a 1-D input (y a scalar) as well as batches."""
+    kind = draw(st.sampled_from([SIGMOID.kind, LAC_SOFTMAX]))
+    bias = draw(st.floats(-5, 5)) if kind == SIGMOID.kind else 0.0
+    spec = ScoreSpec(kind=kind, temperature=draw(st.floats(0.05, 5)), bias=bias)
+    c = draw(st.integers(1, 8))
+    one_d = draw(st.booleans())
+    n = 1 if one_d else draw(st.integers(0, 12))
+    cell = st.one_of(st.floats(-60, 60), st.sampled_from([0.0, -0.0]))
+    logits = np.array(draw(st.lists(cell, min_size=n * c, max_size=n * c))).reshape(n, c)
+    if n and draw(st.booleans()):  # a second class ties the top one
+        rows = np.arange(n)
+        logits[rows, draw(st.integers(0, c - 1))] = logits.max(axis=1)
+    y = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)), dtype=int)
+    return (spec, logits[0], int(y[0])) if one_d else (spec, logits, y)
+
+
+class TestTrueLabelScore:
+    @settings(max_examples=400, deadline=None)
+    @given(_true_label_case())
+    def test_equals_the_gathered_score_matrix_bit_for_bit(self, case):
+        spec, logits, y = case
+        got = score(spec, logits, y)
+        if logits.ndim == 1:
+            assert isinstance(got, float)
+            want = score_all(spec, logits)[y]
+        else:
+            want = score_all(spec, logits)[np.arange(logits.shape[0]), y]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_sigmoid_memory_is_linear_in_rows(self):
+        rng = np.random.default_rng(34)
+        n, c = 20_000, 10
+        logits, y = rng.standard_normal((n, c)), rng.integers(0, c, n)
+        score(SIGMOID, logits, y)  # warm up
+        tracemalloc.start()
+        try:
+            score(SIGMOID, logits, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few n-sized arrays; an (n, c) score matrix would not fit
+        assert peak < 6 * n * 8
 
 
 class TestGlobalBound:

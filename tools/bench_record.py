@@ -18,7 +18,10 @@ its relative median change and a verdict against its ``bound`` in
 ``BENCHMARK.json``, read as a fraction of the parent's median: "worse" when
 the change's median is worse by more than the bound, "unresolved" when the
 parent's interquartile range is wider than the bound and not every change
-run beats every parent run, and "within" otherwise.
+run beats every parent run, and "within" otherwise. Its "gain" is true when
+the change may claim a gain on that metric: it wins at least nine tenths of
+the pairs, ties counting for neither side, and its median is better than the
+parent's by more than the parent's interquartile range.
 
 Run it from a fresh copy of the change and point ``--parent`` at a fresh
 copy of the parent (``git archive``): with bytecode writing off, a tree that
@@ -60,6 +63,17 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return {"relative_change": relative, "verdict": word}
 
 
+def gain(pairs: list[tuple[float, float]], better: str) -> bool:
+    """Whether the (parent, change) pairs show a gain for the change: it wins
+    at least 9 in 10 of them, ties winning for neither side, and the change's
+    median beats the parent's by more than the parent's interquartile range."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * c < sign * p for p, c in pairs)
+    p_q1, p_med, p_q3 = statistics.quantiles([p for p, _ in pairs], n=4, method="inclusive")
+    margin = sign * (p_med - statistics.median(c for _, c in pairs))
+    return 10 * wins >= 9 * len(pairs) and margin > p_q3 - p_q1
+
+
 def summary(runs: list[dict]) -> dict:
     out: dict = {}
     untraced = [r for r in runs if not r["trace"]]
@@ -82,6 +96,8 @@ def summary(runs: list[dict]) -> dict:
                 spec = metrics[metric]
                 row.update(verdict(vals["parent"], vals["change"], spec["better"],
                                    spec["bound"]))
+                if len(pairs) >= 2:
+                    row["gain"] = gain(pairs, spec["better"])
             out.setdefault(workload, {})[metric] = row
         out[workload]["digests_differ"] = digests_differ(
             [r for r in untraced if r["workload"] == workload]
