@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -11,6 +12,9 @@ from .rng import substream
 
 RAW_INPUTS = "raw_inputs"
 PRECOMPUTED_LOGITS = "precomputed_logits"
+
+# CSV body lines parsed at a time: a load holds one block of text, not the file
+BLOCK_LINES = 2048
 
 
 class CsvFormatError(ValueError):
@@ -102,8 +106,7 @@ def save_csv(dataset: LabeledDataset, path) -> None:
 def _load_csv(path, prefix: str, kind: str) -> LabeledDataset:
     with open(path, encoding="utf-8") as fh:
         # the header is checked before the body is read, so probing a file
-        # of the other kind costs one line; the whole text is then read in
-        # one piece, and its splitlines numbers the lines
+        # of the other kind costs one line
         first = fh.readline().splitlines()
         if not first:
             raise CsvFormatError(f"{path}: empty file")
@@ -113,12 +116,24 @@ def _load_csv(path, prefix: str, kind: str) -> LabeledDataset:
             raise CsvHeaderError(
                 f"{path}:1: malformed header {first[0]!r}, expected {','.join(expected)!r}"
             )
-        fh.seek(0)
-        lines = fh.read().splitlines()
-    width = len(header) - 2
-    body = lines[1:]
-    ids, labels, data = _parse_fast(body, width) or _parse(path, body, width)
+        ids, labels, data = _parse_blocks(path, fh, first[1:], len(header) - 2)
     return LabeledDataset(data=data, labels=labels, ids=ids, kind=kind)
+
+
+def _parse_blocks(path, fh, rest: list, width: int):
+    """(ids, labels, data) of the body, BLOCK_LINES lines at a time: `rest`
+    (the header line's pieces after the header), then the rest of `fh`.
+    These are the lines of str.splitlines over the whole text: universal
+    newlines leave only "\\n" between physical lines, and splitting each one
+    breaks it at the others (\\v \\f \\x1c-\\x1e \\x85 \\u2028 \\u2029)."""
+    lines = chain(rest, (piece for line in fh for piece in line.splitlines()))
+    parts, lineno = [], 2
+    while block := list(islice(lines, BLOCK_LINES)):
+        parts.append(_parse_fast(block, width) or _parse(path, block, width, lineno))
+        lineno += len(block)
+    if not parts:
+        return _parse(path, [], width)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _parse_fast(body: list, width: int):
@@ -145,12 +160,12 @@ def _parse_fast(body: list, width: int):
     return ids, rows["label"].copy(), rows["x"].copy()
 
 
-def _parse(path, body: list, width: int):
+def _parse(path, body: list, width: int, first_lineno: int = 2):
     """(ids, labels, data) of the body lines, cell by cell; the first bad
-    line raises with its number. A label must be an int64 class index, in
-    [0, 2^63)."""
+    line raises with its number, counting the first as `first_lineno`. A
+    label must be an int64 class index, in [0, 2^63)."""
     ids, labels, rows = [], [], []
-    for lineno, line in enumerate(body, start=2):
+    for lineno, line in enumerate(body, start=first_lineno):
         cells = line.split(",")
         if len(cells) != width + 2:
             raise CsvFormatError(

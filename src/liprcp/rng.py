@@ -5,6 +5,8 @@ named substreams, so that e.g. dataset generation and attack noise are
 independent yet bit-reproducible across runs.
 """
 
+from __future__ import annotations
+
 import zlib
 
 import numpy as np

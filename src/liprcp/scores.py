@@ -120,21 +120,47 @@ def _margins(spec: ScoreSpec, logits: np.ndarray) -> np.ndarray:
     lg = np.atleast_2d(logits)
     if lg.shape[1] == 1:  # no other class: A = 0, the score is 0
         return np.full(np.shape(logits), np.inf)
-    rows, top = np.arange(lg.shape[0]), np.argmax(lg, axis=1)
-    m1 = lg[rows, top]
-    # e_j = exp((l_j - m2) / T) for j != top, m2 the runner-up, so e_j <= 1
-    # <= r = sum e_j; then, free of cancellation, A_top = exp((m2 - m1) / T) r
-    # and A_k = exp((m1 - l_k) / T) (1 + exp((m2 - m1) / T) (r - e_k)). Logits
-    # are differenced before dividing by T, so large logits keep their digits.
-    e = lg.copy()
-    e[rows, top] = -np.inf
-    m2 = e.max(axis=1)
-    e = np.exp((e - m2[:, None]) / t)
-    r = e.sum(axis=1)
+    rows, top, m1, m2, e, r = _softmax_terms(t, lg)
     rest = np.exp((m2 - m1) / t)[:, None] * (r[:, None] - e)
     h = (lg - m1[:, None]) / 2 - t / 2 * np.log1p(rest)
     h[rows, top] = (m1 - m2) / 2 - t / 2 * np.log(r)
     return h.reshape(np.shape(logits))
+
+
+def _softmax_terms(t: float, lg: np.ndarray) -> tuple:
+    """(rows, top, m1, m2, e, r) of the softmax margins of (n, c) logits,
+    c >= 2. With m1 the top logit and m2 the runner-up, e_j = exp((l_j -
+    m2) / T) for j != top and 0 at top, so e_j <= 1 <= r = sum e_j; then,
+    free of cancellation, A_top = exp((m2 - m1) / T) r and A_k = exp((m1 -
+    l_k) / T) (1 + exp((m2 - m1) / T) (r - e_k)). Logits are differenced
+    before dividing by T, so large logits keep their digits."""
+    rows, top = np.arange(lg.shape[0]), np.argmax(lg, axis=1)
+    m1 = lg[rows, top]
+    e = lg.copy()
+    e[rows, top] = -np.inf
+    m2 = e.max(axis=1)
+    # in place: the margins of one label then hold a single (n, c) array
+    e -= m2[:, None]
+    e /= t
+    np.exp(e, out=e)
+    return rows, top, m1, m2, e, e.sum(axis=1)
+
+
+def _label_margins(spec: ScoreSpec, lg: np.ndarray, y) -> np.ndarray:
+    """Margin of label y in each row of the (n, c) logits: `_margins`
+    gathered at y, bit for bit, by the same operations on y's entries only."""
+    rows = np.arange(lg.shape[0])
+    if spec.kind == LAC_SIGMOID:
+        return lg[rows, y]
+    t = spec.temperature
+    if lg.shape[1] == 1:  # no other class: A = 0, the score is 0
+        return np.full(lg[rows, y].shape, np.inf)
+    _, top, m1, m2, e, r = _softmax_terms(t, lg)
+    e_y = e[rows, y]
+    del e
+    rest = np.exp((m2 - m1) / t) * (r - e_y)
+    h = (lg[rows, y] - m1) / 2 - t / 2 * np.log1p(rest)
+    return np.where(y % lg.shape[1] == top, (m1 - m2) / 2 - t / 2 * np.log(r), h)
 
 
 def _from_margins(spec: ScoreSpec, margins, shift: float = 0.0) -> np.ndarray:
@@ -177,16 +203,14 @@ def score_all(spec: ScoreSpec, logits: np.ndarray) -> np.ndarray:
 def score(spec: ScoreSpec, logits: np.ndarray, y) -> float | np.ndarray:
     """Non-conformity score of label y; vectorized over a logits batch.
 
-    Only label y's margin is mapped to a score, so a batch costs O(n) beyond
-    the margins: none for sigmoid, whose margins are the logits, and the
-    (n, c) margins for softmax. Equal, bit for bit, to
+    Only label y's margin is computed, so a batch costs O(n) beyond the
+    logits: none for sigmoid, whose margins are the logits, and one (n, c)
+    array of exponentials for softmax. Equal, bit for bit, to
     ``score_all(spec, logits)[rows, y]``.
     """
     logits = np.asarray(logits, dtype=float)
-    margins = _margins(spec, logits)
-    if logits.ndim == 1:
-        return float(_from_margins(spec, margins[y]))
-    return _from_margins(spec, margins[np.arange(logits.shape[0]), np.asarray(y)])
+    margins = _from_margins(spec, _label_margins(spec, np.atleast_2d(logits), np.asarray(y)))
+    return float(margins[0]) if logits.ndim == 1 else margins
 
 
 def lower_bound_all(

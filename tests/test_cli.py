@@ -872,6 +872,54 @@ def test_scipy_loads_only_for_the_band(tmp_path):
         assert tracked >= 4 and live == 0, command
 
 
+_NUMPY_RANDOM_PROBE = """
+import json, sys
+from liprcp import cli
+
+d = sys.argv[1]
+commands = [
+    ["calibrate", "--data", d + "/logits.csv", "--out", d + "/record.json"],
+    ["predict", "--data", d + "/logits.csv", "--record", d + "/record.json",
+     "--out", d + "/sets.csv"],
+    ["robust-predict", "--data", d + "/logits.csv", "--record", d + "/record.json",
+     "--out", d + "/rsets.csv", "--epsilon", "0.1"],
+    ["poison-certify", "--data", d + "/logits.csv", "--out", d + "/cert.json",
+     "--k", "2", "--epsilon", "0.1"],
+    ["synth", "--out", d + "/data.csv", "--n", "50", "--seed", "1"],
+]
+loaded = [["import", "numpy.random" in sys.modules]]
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+    loaded.append([argv[0], "numpy.random" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_random_loads_only_to_draw(tmp_path):
+    # importing numpy.random costs about 6 MB of the process's peak; the
+    # commands on precomputed logits draw no random numbers
+    rng = np.random.default_rng(5)
+    logits = rng.standard_normal((300, 3))
+    labels = rng.integers(0, 3, 300)
+    logits[np.arange(300), labels] += 2.0
+    rows = [f"{i},{y},{','.join(map(repr, row))}" for i, (y, row) in
+            enumerate(zip(labels.tolist(), logits.tolist()))]
+    (tmp_path / "logits.csv").write_text(
+        "id,label,logit_0,logit_1,logit_2\n" + "\n".join(rows) + "\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_RANDOM_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [
+        ["import", False], ["calibrate", False], ["predict", False],
+        ["robust-predict", False], ["poison-certify", False], ["synth", True],
+    ]
+
+
 class TestReproducibility:
     def test_rerun_byte_identical(self, workspace, capsys):
         a = workspace["tmp"] / "a.csv"

@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,13 +167,17 @@ class TestCsvRoundTrip:
                 calls.append("readline")
                 return self.fh.readline()
 
+            def __iter__(self):
+                calls.append("iter")
+                return iter(self.fh)
+
             def seek(self, pos):
                 calls.append("seek")
                 return self.fh.seek(pos)
 
-            def read(self):
-                calls.append("read")
-                return self.fh.read()
+            def read(self, size=-1):
+                calls.append("read" if size is None or size < 0 else f"read({size})")
+                return self.fh.read(size)
 
         monkeypatch.setattr(
             datasets, "open", lambda *a, **k: Spy(open(*a, **k)), raising=False
@@ -180,7 +186,8 @@ class TestCsvRoundTrip:
             load_logits_csv(p)
         assert calls == ["readline"]
         assert load_inputs_csv(p).n == 50
-        assert calls == ["readline", "readline", "seek", "read"]
+        # the body is read line by line, never as one whole text
+        assert calls == ["readline", "readline", "iter"]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -217,6 +224,73 @@ class TestCsvRoundTrip:
         p.write_text("id,label,logit_0\n0,1,abc\n")
         with pytest.raises(CsvFormatError):
             load_logits_csv(p)
+
+
+class TestBlocks:
+    """The body is parsed `datasets.BLOCK_LINES` lines at a time."""
+
+    @pytest.mark.parametrize("block", [1, 2])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        breaks=st.lists(
+            st.tuples(st.integers(0, 200), st.sampled_from(
+                ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028", ""]
+            )),
+            max_size=4,
+        ),
+        cut=st.integers(0, 200),
+    )
+    def test_same_lines_and_errors_across_block_boundaries(
+        self, tmp_path_factory, block, breaks, cut
+    ):
+        # the whole-file property again, with blocks of one or two lines, so
+        # that every line meets a block boundary
+        same_lines = TestCsvRoundTrip.test_same_lines_and_errors_as_whole_file_splitlines
+        with mock.patch.object(datasets, "BLOCK_LINES", block):
+            same_lines.hypothesis.inner_test(self, tmp_path_factory, breaks, cut)
+
+    def test_bad_line_in_second_block_names_its_line(self, tmp_path):
+        n = datasets.BLOCK_LINES + 50
+        rows = [f"{i},1,{i}.5" for i in range(n)]
+        rows[datasets.BLOCK_LINES + 7] = "x,1,oops"
+        p = tmp_path / "bad.csv"
+        p.write_text("id,label,x_0\n" + "\n".join(rows) + "\n")
+        with pytest.raises(CsvFormatError, match=f"bad.csv:{datasets.BLOCK_LINES + 9}: "):
+            load_inputs_csv(p)
+
+    def test_duplicate_id_across_blocks_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(datasets, "BLOCK_LINES", 2)
+        p = tmp_path / "dup.csv"
+        p.write_text("id,label,x_0\na,0,1.0\nb,1,2.0\nc,0,3.0\na,1,4.0\n")
+        with pytest.raises(ValueError, match="row ids must be unique"):
+            load_inputs_csv(p)
+
+    @pytest.mark.parametrize("text", ["id,label,x_0", "id,label,x_0\r\n", "id,label,x_0\r"])
+    def test_header_only_file_reads_zero_rows_without_warning(self, tmp_path, text):
+        p = tmp_path / "empty.csv"
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_inputs_csv(p)
+        assert _bits(ds) == _bits(whole_file_loader(p))
+        assert ds.data.shape == (0, 1)
+
+    def test_load_peak_is_a_small_multiple_of_the_data(self, tmp_path):
+        # a whole-file read holds the text and all its lines at once: about
+        # 5x the parsed data at this size; blocks leave the concatenation
+        p = tmp_path / "big.csv"
+        ds = make_gaussian_mixture(20_000, 32, 8, 2.0, seed=3)
+        save_csv(ds, p)
+        load_inputs_csv(p)  # warm up
+        tracemalloc.start()
+        try:
+            back = load_inputs_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.data.tobytes() == ds.data.tobytes()
+        assert peak < 3 * back.data.nbytes
 
 
 # str.splitlines breaks a line at each of these; no cell or id may hold one

@@ -105,6 +105,21 @@ class TestTrueLabelScore:
         # a few n-sized arrays; an (n, c) score matrix would not fit
         assert peak < 6 * n * 8
 
+    def test_softmax_memory_is_one_copy_of_the_logits(self):
+        rng = np.random.default_rng(35)
+        n, c = 20_000, 10
+        logits, y = rng.standard_normal((n, c)), rng.integers(0, c, n)
+        score(SOFTMAX, logits, y)  # warm up
+        tracemalloc.start()
+        try:
+            score(SOFTMAX, logits, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the exponentials and a few n-sized arrays; the (n, c) margins and
+        # their temporaries took 4.5 times the logits
+        assert peak < 2 * logits.nbytes
+
 
 class TestGlobalBound:
     def test_arithmetic(self):

@@ -3,7 +3,7 @@
 Usage (from the repository root):
 
     python3 tools/peak_by_command.py --workload pipeline --seed 7 [--repeats 5] \
-        [--size default]
+        [--size default] [--parent DIR]
 
 It sets up the workload as ``perfbench/run.py`` does and runs its command
 sequence ``--repeats`` times, each command in a fresh interpreter. For each
@@ -12,6 +12,11 @@ its wall time, and marks the command whose median peak is the highest: the
 one that sets the workload's ``peak_rss_mb``. The workload definitions and
 the process runner are imported from ``perfbench/run.py`` and used as they
 are, so the commands and their sizes are the benchmark's own.
+
+With ``--parent DIR`` the same commands also run on the package under
+``DIR/src``, a fresh copy of the parent tree (``git archive``), in a
+workspace of their own. The two sides alternate, each repetition starting
+with the other side, and the table gets a parent and a change column.
 """
 
 from __future__ import annotations
@@ -35,6 +40,17 @@ def load_run():
     return module
 
 
+def medians(cmds, reps):
+    """(name, median MB, median s, problems) of each command over `reps`."""
+    rows = []
+    for i, (cmd, _) in enumerate(cmds):
+        results = [rep["results"][i] for rep in reps]
+        problems = sorted({msg for r in results for msg in r["problems"]})
+        rows.append((f"{i}:{cmd}", statistics.median(r["rss_mb"] for r in results),
+                     statistics.median(r["seconds"] for r in results), problems))
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
@@ -42,38 +58,57 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--size", choices=("tiny", "default", "full"), default="default")
+    parser.add_argument("--parent", type=Path, help="a copy of the parent tree to compare")
     args = parser.parse_args()
     run = load_run()
-    if not (run.SRC / "liprcp" / "cli.py").is_file():
-        print(f"no liprcp sources under {run.SRC}: run from the repository root",
-              file=sys.stderr)
-        return 2
+    trees = {"change": run.SRC}
+    if args.parent is not None:
+        trees = {"parent": args.parent.resolve() / "src", **trees}
+    for src in trees.values():
+        if not (src / "liprcp" / "cli.py").is_file():
+            print(f"no liprcp sources under {src}: run from the repository root",
+                  file=sys.stderr)
+            return 2
     env = run._child_env(min(2, len(os.sched_getaffinity(0))))
+    envs = {side: {**env, "PYTHONPATH": str(src)} for side, src in trees.items()}
     p = run._params(args.workload, args.size, args.seed)
     cmds = run._commands(args.workload, p)
-    ws = run.WORK / f"peak-{args.workload}-{args.seed}-{os.getpid()}"
+    tag = f"{args.workload}-{args.seed}-{os.getpid()}"
+    ws = {side: run.WORK / f"peak-{side}-{tag}" for side in trees}
     deadline = time.perf_counter() + 3600.0
+    reps = {side: [] for side in trees}
     try:
-        run._setup(args.workload, p, ws, env, deadline)
-        reps = [run._repeat(cmds, ws, env, p["n"], deadline) for _ in range(args.repeats)]
+        for side in trees:
+            run._setup(args.workload, p, ws[side], envs[side], deadline)
+        order = list(trees)
+        for _ in range(args.repeats):
+            for side in order:
+                reps[side].append(run._repeat(cmds, ws[side], envs[side], p["n"], deadline))
+            order.reverse()
     finally:
-        shutil.rmtree(ws, ignore_errors=True)
-    rows = []
-    for i, (cmd, _) in enumerate(cmds):
-        results = [rep["results"][i] for rep in reps]
-        problems = sorted({msg for r in results for msg in r["problems"]})
-        rows.append((f"{i}:{cmd}", statistics.median(r["rss_mb"] for r in results),
-                     statistics.median(r["seconds"] for r in results), problems))
-    top = max(rss for _, rss, _, _ in rows)
+        for path in ws.values():
+            shutil.rmtree(path, ignore_errors=True)
+    rows = {side: medians(cmds, reps[side]) for side in trees}
     print(f"{args.workload}, seed {args.seed}, {args.size} size, "
           f"medians of {args.repeats} repetitions")
-    print("| command | peak RSS (MB) | wall (s) |")
-    print("| --- | --- | --- |")
-    for name, rss, seconds, problems in rows:
-        mark = " (peak)" if rss == top else ""
-        note = f" {'; '.join(problems)}" if problems else ""
-        print(f"| {name}{note} | {rss:.1f}{mark} | {seconds:.2f} |")
-    return 0 if not any(problems for *_, problems in rows) else 1
+    sides = list(trees)
+    name = {side: f"{side} " if len(sides) > 1 else "" for side in sides}
+    heads = [f"{name[s]}peak RSS (MB)" for s in sides] + [f"{name[s]}wall (s)" for s in sides]
+    print(f"| command | {' | '.join(heads)} |")
+    print("| --- " * (len(heads) + 1) + "|")
+    tops = {side: max(rss for _, rss, _, _ in rows[side]) for side in sides}
+    failed = False
+    for i, (command, *_) in enumerate(rows["change"]):
+        peaks, walls, notes = [], [], []
+        for side in sides:
+            _, rss, seconds, problems = rows[side][i]
+            peaks.append(f"{rss:.1f}{' (peak)' if rss == tops[side] else ''}")
+            walls.append(f"{seconds:.2f}")
+            notes += [f"{name[side]}{msg}" for msg in problems]
+        failed = failed or bool(notes)
+        note = f" {'; '.join(notes)}" if notes else ""
+        print(f"| {command}{note} | {' | '.join(peaks + walls)} |")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
