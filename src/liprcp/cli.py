@@ -6,6 +6,10 @@ function of (config file, input files, seed): re-running writes
 byte-identical outputs. Each command takes only the options it reads
 (`COMMANDS`); they can come from a key=value config file, with
 command-line flags taking precedence.
+
+Each command imports the layers it calls inside its own function, so it
+loads (and, without cached bytecode, compiles) only the modules on its path:
+`synth` never loads `lipnet`, and only the band commands load `audit`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import attack, audit, conformal, datasets, lipnet, poison, robust, scores
+from . import datasets
+
 
 def finite_float(text: str) -> float:
     value = float(text)
@@ -114,6 +119,8 @@ class CheckError(ValueError):
 
 
 def _score_spec(opts: dict) -> scores.ScoreSpec:
+    from . import scores
+
     return scores.ScoreSpec(
         kind=opts["score_kind"], temperature=opts["temperature"], bias=opts["bias"]
     )
@@ -124,6 +131,12 @@ def _write(path: Path, text) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines([text] if isinstance(text, str) else text)
+
+
+def _check_rows(path: str, ds: datasets.LabeledDataset) -> None:
+    """Reject a file with a header and no data rows."""
+    if ds.n == 0:
+        raise datasets.CsvFormatError(f"{path}: no data rows")
 
 
 def _check_labels(path: str, labels: np.ndarray, classes: int) -> None:
@@ -140,14 +153,17 @@ def _logits_and_labels(data_path: str, model_path: str | None):
     """Load a dataset, running the model forward when rows are raw inputs.
 
     Returns logits, labels, ids and the model's Lipschitz product (1.0
-    without a model).
+    without a model). `lipnet` is loaded only with a model.
     """
     try:
         ds = datasets.load_logits_csv(data_path)
     except datasets.CsvHeaderError:
         ds = datasets.load_inputs_csv(data_path)
+    _check_rows(data_path, ds)
     model = None
     if model_path is not None:
+        from . import lipnet
+
         model = lipnet.from_json(Path(model_path).read_text())
     ln = 1.0 if model is None else model.lipschitz_product
     if ds.kind == datasets.PRECOMPUTED_LOGITS:
@@ -173,6 +189,8 @@ def _sets_csv(ids, membership) -> str:
 
 
 def cmd_synth(opts: dict) -> dict:
+    if opts["n"] < 1:
+        raise ConfigError(f"--n {opts['n']}: synth needs at least 1 row")
     ds = datasets.make_gaussian_mixture(
         n=opts["n"], d=opts["d"], c=opts["c"], separation=opts["separation"],
         seed=opts["seed"],
@@ -185,7 +203,12 @@ def cmd_synth(opts: dict) -> dict:
 
 
 def cmd_train(opts: dict) -> dict:
+    from . import lipnet
+
+    if opts["epochs"] < 0:
+        raise ConfigError(f"--epochs {opts['epochs']}: must be 0 or more")
     ds = datasets.load_inputs_csv(opts["data"])
+    _check_rows(opts["data"], ds)
     seed = opts["seed"]
     d = ds.data.shape[1]
     c = int(ds.labels.max()) + 1
@@ -216,6 +239,8 @@ def cmd_train(opts: dict) -> dict:
 
 
 def cmd_calibrate(opts: dict) -> dict:
+    from . import robust, scores
+
     spec = _score_spec(opts)
     logits, labels, _, ln = _logits_and_labels(opts["data"], opts["model"])
     cal_scores = scores.score(spec, logits, labels)
@@ -226,11 +251,15 @@ def cmd_calibrate(opts: dict) -> dict:
 
 def _load_record(opts: dict, ln: float) -> conformal.CalibrationRecord:
     """The --record file; with --model it certifies with that model's product ln."""
+    from . import conformal
+
     record = conformal.CalibrationRecord.from_json(Path(opts["record"]).read_text())
     return record if opts["model"] is None else replace(record, lipschitz_product=ln)
 
 
 def cmd_predict(opts: dict) -> dict:
+    from . import conformal
+
     logits, labels, ids, ln = _logits_and_labels(opts["data"], opts["model"])
     record = _load_record(opts, ln)
     membership = conformal.vanilla_membership(record, logits)
@@ -243,6 +272,8 @@ def cmd_predict(opts: dict) -> dict:
 
 
 def cmd_robust_predict(opts: dict) -> dict:
+    from . import conformal, robust
+
     logits, labels, ids, ln = _logits_and_labels(opts["data"], opts["model"])
     record = _load_record(opts, ln)
     epsilon, method = opts["epsilon"], opts["bound_method"]
@@ -266,6 +297,8 @@ def _band(opts: dict, record, eval_scores) -> audit.CertifiedBand:
     evaluation rows (audit, attack-eval). Building it loads scipy, so callers
     drop their logits, labels and datasets first: the import then holds only
     these n scores besides its own."""
+    from . import audit
+
     crit = audit.critical_epsilons(record, eval_scores, opts["bound_method"])
     return audit.certified_band(crit, opts["delta"], opts["correction_mode"])
 
@@ -280,6 +313,8 @@ def _band_blocks(band: audit.CertifiedBand):
     so it has at most twice that many rows (the first one also has 0), and
     no grid of all rows is built.
     """
+    from . import audit
+
     a, b = band.covmax.breakpoints, band.covmin.breakpoints
     size, i, j = audit.BLOCK_ROWS, 0, 0
     head = [0.0]  # the grid's first point, in the first block only
@@ -303,6 +338,8 @@ def _band_rows(band: audit.CertifiedBand):
 
 
 def cmd_audit(opts: dict) -> dict:
+    from . import scores
+
     logits, labels, ids, ln = _logits_and_labels(opts["data"], opts["model"])
     record = _load_record(opts, ln)
     eval_scores = scores.score(record.score_spec, logits, labels)
@@ -326,14 +363,20 @@ def cmd_audit(opts: dict) -> dict:
 
 
 def cmd_attack_eval(opts: dict) -> dict:
+    from . import attack, audit, lipnet, scores
+
     model = lipnet.from_json(Path(opts["model"]).read_text())
     record = _load_record(opts, model.lipschitz_product)
     test = datasets.load_inputs_csv(opts["data"])
+    _check_rows(opts["data"], test)
     _check_labels(opts["data"], test.labels, model.n_classes)
     shared = Path(opts["eval_data"]).resolve() == Path(opts["data"]).resolve()
     eval_ds = test if shared else datasets.load_inputs_csv(opts["eval_data"])
+    _check_rows(opts["eval_data"], eval_ds)
     _check_labels(opts["eval_data"], eval_ds.labels, model.n_classes)
-    if eval_ds.n < 2:  # the band's minimum, checked before any attack runs
+    # the band's inputs, checked before any attack runs
+    audit.check_delta(opts["delta"])
+    if eval_ds.n < 2:
         raise ConfigError(
             f"{opts['eval_data']}: certified band needs m >= 2 evaluation samples, "
             f"got {eval_ds.n}"
@@ -371,6 +414,8 @@ def cmd_attack_eval(opts: dict) -> dict:
 
 
 def cmd_poison_certify(opts: dict) -> dict:
+    from . import poison, scores
+
     spec = _score_spec(opts)
     logits, labels, _, ln = _logits_and_labels(opts["data"], opts["model"])
     cal_scores = scores.score(spec, logits, labels)
@@ -402,9 +447,11 @@ class Command(NamedTuple):
 
 _LOGITS = {"data": True, "model": False}  # precomputed logits need no model
 _SETS = {**_LOGITS, "record": True}
-_SPEC = {"score_kind": scores.LAC_SIGMOID, "temperature": 1.0, "bias": 0.0}
-_BAND = {"bound_method": scores.TIGHT_MONOTONE, "delta": 0.1,
-         "correction_mode": audit.APPENDIX_CORRECTED}
+# the defaults name scores' and audit's constants as literals, so building
+# this table loads neither module
+_SPEC = {"score_kind": "lac_sigmoid", "temperature": 1.0, "bias": 0.0}
+_BAND = {"bound_method": "tight_monotone", "delta": 0.1,
+         "correction_mode": "appendix_corrected"}
 _ATTACK = {"epsilon_grid": [0.25], "seed": 0, "attack_steps": 40,
            "attack_step_size": None, "attack_restarts": 3}
 
@@ -416,7 +463,7 @@ COMMANDS = {
     "calibrate": Command(cmd_calibrate, _LOGITS, {**_SPEC, "alpha": 0.1, "epsilon": 0.0}),
     "predict": Command(cmd_predict, _SETS, {}),
     "robust-predict": Command(cmd_robust_predict, _SETS,
-                              {"epsilon": 0.0, "bound_method": scores.TIGHT_MONOTONE}),
+                              {"epsilon": 0.0, "bound_method": "tight_monotone"}),
     "audit": Command(cmd_audit, _SETS, _BAND),
     "attack-eval": Command(cmd_attack_eval, {**_SETS, "model": True, "eval_data": True},
                            {**_BAND, **_ATTACK}),

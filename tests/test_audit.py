@@ -468,7 +468,7 @@ class TestClopperPearsonArrays:
             np.random.default_rng(29).uniform(size=9000), q
         )
 
-    @pytest.mark.parametrize("m", [2, 2047, 2048, 2049, 5000])
+    @pytest.mark.parametrize("m", [2, 511, 512, 513, 2047, 2048, 2049, 5000])
     def test_blocked_inversion_equals_one_call(self, m):
         from liprcp import audit
 
@@ -493,7 +493,7 @@ class TestClopperPearsonArrays:
         from liprcp import audit
 
         exact = audit.betaincinv
-        # counts 2100 and 4500, in the second and third blocks, get a wrong inverse
+        # counts 2100 and 4500, in two later blocks, get a wrong inverse
         monkeypatch.setattr(audit, "betaincinv", lambda a, b, y: np.where(
             np.isin(a, [2101, 4501]), exact(a, b, y) + 1e-6, exact(a, b, y)))
         with pytest.raises(audit.BandInversionError, match=r"m=5000, count=2100,"):

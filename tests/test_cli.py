@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liprcp import audit, cli, conformal, scores
+from liprcp import attack, audit, cli, conformal, datasets, lipnet, poison, robust, scores
 
 
 def run(argv, capsys):
@@ -273,7 +273,48 @@ class TestMissingFiles:
         assert "absent.json" in json.loads(stderr)["error"]
 
 
+# every command that reads a data file, with the argv that makes it read `bad`
+_DATA_READERS = {
+    "train": lambda w, bad: ["--data", bad],
+    "calibrate": lambda w, bad: ["--data", bad, "--model", w["model"]],
+    "predict": lambda w, bad: ["--data", bad, "--model", w["model"], "--record", w["record"]],
+    "robust-predict": lambda w, bad: ["--data", bad, "--model", w["model"],
+                                      "--record", w["record"], "--epsilon", "0.1"],
+    "audit": lambda w, bad: ["--data", bad, "--model", w["model"], "--record", w["record"]],
+    "attack-eval": lambda w, bad: ["--data", bad, "--eval-data", w["eval"],
+                                   "--model", w["model"], "--record", w["record"]],
+    "attack-eval-band": lambda w, bad: ["--data", w["eval"], "--eval-data", bad,
+                                        "--model", w["model"], "--record", w["record"]],
+    "poison-certify": lambda w, bad: ["--data", bad, "--model", w["model"], "--k", "2"],
+}
+
+
 class TestTooFewRows:
+    @pytest.mark.parametrize("command", list(_DATA_READERS))
+    def test_header_only_inputs_name_their_file(self, workspace, capsys, command):
+        empty = workspace["tmp"] / "empty.csv"
+        empty.write_text(workspace["eval"].read_text().splitlines()[0] + "\n")
+        files = {k: str(v) for k, v in workspace.items()}
+        argv = [command.removesuffix("-band"), *_DATA_READERS[command](files, str(empty)),
+                "--out", str(workspace["tmp"] / "out" / "x")]
+        code, stdout, stderr = run(argv, capsys)
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr) == {"error": f"{empty}: no data rows"}
+        assert not (workspace["tmp"] / "out").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "predict", "robust-predict", "audit",
+                                         "poison-certify"])
+    def test_header_only_logits_name_their_file(self, workspace, capsys, command):
+        empty = workspace["tmp"] / "empty.csv"
+        empty.write_text("id,label,logit_0,logit_1")
+        argv = [command, "--data", str(empty), "--out", str(workspace["tmp"] / "out" / "x")]
+        if command in ("predict", "robust-predict", "audit"):
+            argv += ["--record", str(workspace["record"])]
+        code, stdout, stderr = run(argv, capsys)
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr) == {"error": f"{empty}: no data rows"}
+        assert not (workspace["tmp"] / "out").exists()
+
     def test_audit_one_row_errors_as_json(self, workspace, capsys):
         one = workspace["tmp"] / "one.csv"
         one.write_text("\n".join(workspace["eval"].read_text().splitlines()[:2]) + "\n")
@@ -415,8 +456,8 @@ class TestPipeline:
         assert cli.main(["audit", "--data", str(workspace["eval"]), *model,
                          "--out", str(tmp / "band.csv"), "--delta", "0.1"]) == 0
         band_at_zero = (tmp / "band.csv").read_text().splitlines()[1].split(",")
-        net = cli.lipnet.from_json(workspace["model"].read_text())
-        rec = cli.conformal.CalibrationRecord.from_json(workspace["record"].read_text())
+        net = lipnet.from_json(workspace["model"].read_text())
+        rec = conformal.CalibrationRecord.from_json(workspace["record"].read_text())
         for data in (workspace["data"], workspace["eval"]):
             assert cli.main(["predict", "--data", str(data), *model,
                              "--out", str(tmp / "sets.csv")]) == 0
@@ -431,15 +472,15 @@ class TestPipeline:
             rows = [r.split(",") for r in (tmp / "attack.csv").read_text().splitlines()[1:]]
             assert float(rows[0][2]) == size
             assert [rows[0][3], rows[0][4]] == [band_at_zero[1], band_at_zero[4]]
-            ds = cli.datasets.load_inputs_csv(data)
-            cfg = cli.attack.AttackConfig(epsilon=0.5, steps=3, seed=4)
-            mask = cli.attack.undecided_rows(
-                net, rec, cli.lipnet.forward(net, ds.data), ds.labels, cfg
+            ds = datasets.load_inputs_csv(data)
+            cfg = attack.AttackConfig(epsilon=0.5, steps=3, seed=4)
+            mask = attack.undecided_rows(
+                net, rec, lipnet.forward(net, ds.data), ds.labels, cfg
             )
-            attacked = cli.attack.pgd_attack_batch(
+            attacked = attack.pgd_attack_batch(
                 net, ds.data, ds.labels, cfg, mask=mask, cal=rec
             )
-            member = cli.conformal.vanilla_membership(rec, cli.lipnet.forward(net, attacked))
+            member = conformal.vanilla_membership(rec, lipnet.forward(net, attacked))
             assert mask.any()
             assert float(rows[1][2]) == float(member.sum(axis=1).mean())
 
@@ -452,7 +493,7 @@ class TestPipeline:
         doc["layers"][0]["orthogonal"] = False
         scaled = workspace["tmp"] / "scaled.json"
         scaled.write_text(json.dumps(doc))
-        ln = cli.lipnet.from_json(scaled.read_text()).lipschitz_product
+        ln = lipnet.from_json(scaled.read_text()).lipschitz_product
         assert ln > 1.5
         return scaled, ln
 
@@ -460,9 +501,9 @@ class TestPipeline:
     def test_model_parsed_once(self, workspace, capsys, monkeypatch, command):
         scaled, ln = self.scaled_model(workspace)
         parses = []
-        parse = cli.lipnet.from_json
+        parse = lipnet.from_json
         monkeypatch.setattr(
-            cli.lipnet, "from_json", lambda text: parses.append(1) or parse(text)
+            lipnet, "from_json", lambda text: parses.append(1) or parse(text)
         )
         out = workspace["tmp"] / "out.json"
         code, _, _ = run(
@@ -475,9 +516,9 @@ class TestPipeline:
         if command == "calibrate":
             assert written["lipschitz_product"] == ln
         else:
-            budget = cli.poison.PoisonBudget(
+            budget = poison.PoisonBudget(
                 k=0, epsilon=0.1, lipschitz_product=ln,
-                score_lipschitz=cli.scores.ScoreSpec().score_lipschitz,
+                score_lipschitz=scores.ScoreSpec().score_lipschitz,
             )
             assert written["delta_score"] == budget.delta_score
 
@@ -541,7 +582,7 @@ class TestCheckFailures:
 
     def test_robust_predict_nesting(self, workspace, capsys, monkeypatch):
         # an empty conservative set cannot contain the vanilla one
-        monkeypatch.setattr(cli.robust, "conservative_membership",
+        monkeypatch.setattr(robust, "conservative_membership",
                             lambda record, logits, *_: np.zeros(logits.shape, bool))
         code, stdout, stderr = run(
             self.sets_argv(workspace, "robust-predict", "rsets.csv"), capsys
@@ -552,8 +593,8 @@ class TestCheckFailures:
 
     def test_audit_sandwich(self, workspace, capsys, monkeypatch):
         # swapped empirical curves put covmin above covmax
-        curves = cli.audit.coverage_curves
-        monkeypatch.setattr(cli.audit, "coverage_curves", lambda crit: curves(crit)[::-1])
+        curves = audit.coverage_curves
+        monkeypatch.setattr(audit, "coverage_curves", lambda crit: curves(crit)[::-1])
         code, stdout, stderr = run(self.sets_argv(workspace, "audit", "band.csv"), capsys)
         assert (code, stdout) == (1, "")
         assert json.loads(stderr) == {"error": "invariant violated: band sandwich"}
@@ -562,8 +603,8 @@ class TestCheckFailures:
     def test_attack_eval_escape(self, workspace, capsys, monkeypatch):
         # budgets that understate the Lipschitz product a billionfold give a
         # band that stays flat, and PGD escapes it
-        crit = cli.audit.critical_epsilons
-        monkeypatch.setattr(cli.audit, "critical_epsilons", lambda record, *args: crit(
+        crit = audit.critical_epsilons
+        monkeypatch.setattr(audit, "critical_epsilons", lambda record, *args: crit(
             replace(record, lipschitz_product=1e-9), *args))
         out = workspace["tmp"] / "attack.csv"
         argv = ["attack-eval", "--data", str(workspace["eval"]),
@@ -586,7 +627,7 @@ class TestCheckFailures:
         one = workspace["tmp"] / "one.csv"
         one.write_text("\n".join(workspace["eval"].read_text().splitlines()[:2]) + "\n")
         calls = []
-        monkeypatch.setattr(cli.attack, "coverage_under_attack", lambda *a: calls.append(a))
+        monkeypatch.setattr(attack, "coverage_under_attack", lambda *a: calls.append(a))
         out = workspace["tmp"] / "attack.csv"
         code, stdout, stderr = run(
             ["attack-eval", "--data", str(workspace["eval"]), "--eval-data", str(one),
@@ -598,6 +639,50 @@ class TestCheckFailures:
             "error": f"{one}: certified band needs m >= 2 evaluation samples, got 1"
         }
         assert not out.exists()
+
+
+class TestBadValues:
+    """An option value outside its range is one JSON error naming it, and
+    nothing is written."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("synth", "--n", "-5", "--n -5: synth needs at least 1 row"),
+            ("synth", "--n", "0", "--n 0: synth needs at least 1 row"),
+            ("train", "--epochs", "-1", "--epochs -1: must be 0 or more"),
+            ("audit", "--delta", "1.5", "delta=1.5 outside (0, 1)"),
+            ("audit", "--delta", "0", "delta=0.0 outside (0, 1)"),
+            ("audit", "--delta", "-0.1", "delta=-0.1 outside (0, 1)"),
+            ("attack-eval", "--delta", "1.5", "delta=1.5 outside (0, 1)"),
+            ("attack-eval", "--delta", "1", "delta=1.0 outside (0, 1)"),
+        ],
+        ids=["synth-negative-n", "synth-zero-n", "train-negative-epochs",
+             "audit-delta-above-1", "audit-zero-delta", "audit-negative-delta",
+             "attack-eval-delta-above-1", "attack-eval-delta-1"],
+    )
+    def test_out_of_range_is_json(self, workspace, capsys, monkeypatch, command, flag,
+                                  value, message):
+        calls = []
+        monkeypatch.setattr(attack, "coverage_under_attack", lambda *a: calls.append(a))
+        files = {k: str(v) for k, v in workspace.items()}
+        argv = [command, "--out", str(workspace["tmp"] / "out" / "x"), flag, value]
+        if command != "synth":
+            argv += _DATA_READERS[command](files, files["eval"])
+        code, stdout, stderr = run(argv, capsys)
+        assert (code, stdout, calls) == (1, "", [])
+        assert json.loads(stderr) == {"error": message}
+        assert not (workspace["tmp"] / "out").exists()
+
+    def test_band_rejects_delta_outside_the_unit_interval(self):
+        rec = conformal.CalibrationRecord(
+            q_alpha=0.6, alpha=0.1, n_cal=100, score_spec=scores.ScoreSpec(),
+            lipschitz_product=1.0,
+        )
+        crit = audit.critical_epsilons(rec, np.linspace(0.0, 1.0, 50))
+        for delta in (1.5, 1.0, 0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="outside"):
+                audit.certified_band(crit, delta)
 
 
 class TestAttackOptions:
@@ -724,35 +809,20 @@ def _relabel(src, dst, label):
     dst.write_text("\n".join(lines) + "\n")
 
 
-_LABEL_READERS = {
-    "train": lambda w, bad: ["--data", bad],
-    "calibrate": lambda w, bad: ["--data", bad, "--model", w["model"]],
-    "predict": lambda w, bad: ["--data", bad, "--model", w["model"], "--record", w["record"]],
-    "robust-predict": lambda w, bad: ["--data", bad, "--model", w["model"],
-                                      "--record", w["record"], "--epsilon", "0.1"],
-    "audit": lambda w, bad: ["--data", bad, "--model", w["model"], "--record", w["record"]],
-    "attack-eval": lambda w, bad: ["--data", bad, "--eval-data", w["eval"],
-                                   "--model", w["model"], "--record", w["record"]],
-    "attack-eval-band": lambda w, bad: ["--data", w["eval"], "--eval-data", bad,
-                                        "--model", w["model"], "--record", w["record"]],
-    "poison-certify": lambda w, bad: ["--data", bad, "--model", w["model"], "--k", "2"],
-}
-
-
 class TestBadLabels:
     """A label that names no class is one JSON error naming its line, in
     every command that reads labels; -1 used to read as the last class."""
 
     # train's labels define its classes, so there a label of 2 makes a third
     @pytest.mark.parametrize("command, label", [
-        (command, label) for command in _LABEL_READERS for label in ["-1", "2", str(2**64)]
+        (command, label) for command in _DATA_READERS for label in ["-1", "2", str(2**64)]
         if (command, label) != ("train", "2")
     ])
     def test_raw_inputs(self, workspace, capsys, command, label):
         bad = workspace["tmp"] / "bad.csv"
         _relabel(workspace["eval"], bad, label)
         files = {k: str(v) for k, v in workspace.items()}
-        argv = [command.removesuffix("-band"), *_LABEL_READERS[command](files, str(bad)),
+        argv = [command.removesuffix("-band"), *_DATA_READERS[command](files, str(bad)),
                 "--out", str(workspace["tmp"] / "out" / "x")]
         code, stdout, stderr = run(argv, capsys)
         assert (code, stdout) == (1, "")
@@ -895,29 +965,123 @@ print(json.dumps(loaded))
 """
 
 
-def test_numpy_random_loads_only_to_draw(tmp_path):
-    # importing numpy.random costs about 6 MB of the process's peak; the
-    # commands on precomputed logits draw no random numbers
+def _write_logits(path: Path) -> None:
+    """300 rows of 3 logits whose label's logit is raised by 2."""
     rng = np.random.default_rng(5)
     logits = rng.standard_normal((300, 3))
     labels = rng.integers(0, 3, 300)
     logits[np.arange(300), labels] += 2.0
     rows = [f"{i},{y},{','.join(map(repr, row))}" for i, (y, row) in
             enumerate(zip(labels.tolist(), logits.tolist()))]
-    (tmp_path / "logits.csv").write_text(
-        "id,label,logit_0,logit_1,logit_2\n" + "\n".join(rows) + "\n"
-    )
+    path.write_text("id,label,logit_0,logit_1,logit_2\n" + "\n".join(rows) + "\n")
+
+
+def _probe_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return env
+
+
+def test_numpy_random_loads_only_to_draw(tmp_path):
+    # importing numpy.random costs about 6 MB of the process's peak; the
+    # commands on precomputed logits draw no random numbers
+    _write_logits(tmp_path / "logits.csv")
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_RANDOM_PROBE, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_probe_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == [
         ["import", False], ["calibrate", False], ["predict", False],
         ["robust-predict", False], ["poison-certify", False], ["synth", True],
     ]
+
+
+_MODULES_PROBE = """
+import json, sys
+import liprcp
+
+def loaded():
+    return sorted(m.removeprefix("liprcp.") for m in sys.modules if m.startswith("liprcp."))
+
+after_import = loaded()
+from liprcp import cli
+
+assert cli.main(sys.argv[1:]) == 0, sys.argv
+print(json.dumps([after_import, loaded()]))
+"""
+
+# the liprcp modules each command loads besides cli, datasets and rng
+_COMMAND_MODULES = {
+    "synth": [],
+    "train": ["lipnet", "scores"],
+    "calibrate logits": ["conformal", "robust", "scores"],
+    "calibrate inputs": ["conformal", "lipnet", "robust", "scores"],
+    "predict logits": ["conformal", "scores"],
+    "predict inputs": ["conformal", "lipnet", "scores"],
+    "robust-predict logits": ["conformal", "robust", "scores"],
+    "audit logits": ["audit", "conformal", "scores"],
+    "audit inputs": ["audit", "conformal", "lipnet", "scores"],
+    "attack-eval": ["attack", "audit", "conformal", "lipnet", "scores"],
+    "poison-certify logits": ["conformal", "poison", "scores"],
+    "poison-certify inputs": ["conformal", "lipnet", "poison", "scores"],
+}
+
+
+def test_each_command_loads_only_its_own_modules(workspace, capsys):
+    # each command runs in a fresh interpreter, so its modules are its own
+    tmp = workspace["tmp"]
+    _write_logits(tmp / "logits.csv")
+    assert cli.main(["calibrate", "--data", str(tmp / "logits.csv"),
+                     "--out", str(tmp / "logits_record.json")]) == 0
+    capsys.readouterr()
+    inputs = ["--data", str(workspace["eval"]), "--model", str(workspace["model"])]
+    logits = ["--data", str(tmp / "logits.csv")]
+    record = {"inputs": ["--record", str(workspace["record"])],
+              "logits": ["--record", str(tmp / "logits_record.json")]}
+    argvs = {
+        "synth": ["synth", "--n", "20"],
+        "train": ["train", "--data", str(workspace["data"]), "--epochs", "1"],
+        "attack-eval": ["attack-eval", *inputs, *record["inputs"],
+                        "--eval-data", str(workspace["eval"]), "--attack-steps", "1"],
+    }
+    for case in _COMMAND_MODULES:
+        command, _, data = case.partition(" ")
+        if data:
+            needs_record = command in ("predict", "robust-predict", "audit")
+            argvs[case] = [command, *(inputs if data == "inputs" else logits),
+                           *(record[data] if needs_record else [])]
+    observed = {}
+    for case, argv in argvs.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULES_PROBE, *argv, "--out", str(tmp / "probe" / "x")],
+            env=_probe_env(), cwd=tmp, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (case, proc.stderr)
+        after_import, after_command = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert after_import == ["rng"], case
+        observed[case] = set(after_command) - {"cli", "datasets", "rng"}
+    for case, modules in observed.items():
+        command, _, data = case.partition(" ")
+        if command not in ("audit", "attack-eval"):
+            assert not modules & {"attack", "audit"}, case
+        if data == "logits":
+            assert "lipnet" not in modules, case
+        assert ("poison" in modules) == (command == "poison-certify"), case
+        assert ("robust" in modules) == (command in ("calibrate", "robust-predict")), case
+    assert {case: sorted(m) for case, m in observed.items()} == _COMMAND_MODULES
+
+
+def test_literal_defaults_name_the_constants():
+    # COMMANDS spells these defaults out so that building it loads neither
+    # scores nor audit
+    constants = {"score_kind": scores.LAC_SIGMOID, "bound_method": scores.TIGHT_MONOTONE,
+                 "correction_mode": audit.APPENDIX_CORRECTED}
+    for name, command in cli.COMMANDS.items():
+        for key, constant in constants.items():
+            if key in command.options:
+                assert command.options[key] == constant, (name, key)
+    assert cli.COMMANDS["audit"].options["correction_mode"] == audit.APPENDIX_CORRECTED
 
 
 class TestReproducibility:
