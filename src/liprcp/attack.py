@@ -1,7 +1,7 @@
 """l2 projected-gradient attack on toy Lipschitz models.
 
-The attack descends the logit of a chosen class (for the sigmoid score,
-the same as climbing its score), with normalized steps, hard projection onto
+The attack descends the true class's logit (for the sigmoid score, the
+same as climbing its score), with normalized steps, hard projection onto
 the epsilon-ball after every step, and best-of-restarts selection. It is the
 empirical adversary every certificate in the toolkit is validated against.
 """
@@ -23,10 +23,7 @@ from .lipnet import (
     row_blocks,
 )
 from .rng import substream
-from .scores import check_budget, score, score_all
-
-MAXIMIZE_TRUE_SCORE = "maximize_true_score"
-MINIMIZE_TRUE_SCORE = "minimize_true_score"
+from .scores import check_budget, score
 
 
 @dataclass(frozen=True)
@@ -36,12 +33,9 @@ class AttackConfig:
     step_size: float | None = None  # defaults to epsilon / 4
     restarts: int = 3
     seed: int = 0
-    objective: str = MAXIMIZE_TRUE_SCORE
 
     def __post_init__(self):
         check_budget(self.epsilon)
-        if self.objective not in (MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE):
-            raise ValueError(f"unknown objective {self.objective!r}")
         if self.steps < 0:
             raise ValueError(f"attack steps must be nonnegative, got {self.steps}")
         if self.restarts < 1:
@@ -71,24 +65,23 @@ def pgd_attack_batch(
 ) -> np.ndarray:
     """Attack a batch of inputs; returns perturbed inputs within the ball.
 
-    Maximizing the score means minimizing logits[:, y] and vice versa (for
+    The attack raises the true label's score by lowering logits[:, y] (for
     softmax a proxy, since the other logits move too). Each step moves the
-    perturbation by the step size along the normalized gradient of the
+    perturbation by the step size against the normalized gradient of the
     true logit and projects it back onto the ball; zero-gradient steps keep
     the iterate. Each restart starts from the clean point or a random
     point in the ball, and a row's result only moves to a restart's end
-    point when it strictly improves the objective, so, up to rounding, no
-    row ends worse off than at the clean point.
+    point when its true logit is strictly lower there, so, up to rounding,
+    no row ends with a higher true logit than at the clean point.
 
     With a calibration record ``cal`` the attack stops each row at its
     first flip: at every iterate it tests the true label with
     `vanilla_membership`'s rule, ``score <= q_alpha``, on the logits the
-    gradient pass computed there. Under the maximize objective a row stops
-    once its label has left the set (minimize: once it has entered), and
-    its result is that iterate, exactly as tested. Later restarts attack
-    only the rows no restart has flipped. A row that never stops runs and
-    ends as without a record, so every row the record-less attack flips is
-    flipped here too, at that point or earlier.
+    gradient pass computed there. A row stops once its label has left the
+    set, and its result is that iterate, exactly as tested. Later restarts
+    attack only the rows no restart has flipped. A row that never stops runs
+    and ends as without a record, so every row the record-less attack flips
+    is flipped here too, at that point or earlier.
 
     ``mask`` (boolean, one entry per row) limits the attack to the rows it
     selects; the other rows come back unperturbed. The restart noise is
@@ -98,7 +91,7 @@ def pgd_attack_batch(
     `coverage_under_attack` masks out the rows whose outcome is settled:
     certified rows, whose score bound keeps the label in the set over the
     whole ball, and rows lost at the clean point, which by the property
-    above stay lost (for the minimize objective, the mirror images).
+    above stay lost.
 
     Within a restart the attacked rows run in blocks of at most
     `lipnet.BLOCK_ROWS`, each through all its steps in one `lipnet.Trace`
@@ -120,10 +113,6 @@ def pgd_attack_batch(
     if cfg.epsilon == 0.0 or cfg.steps == 0 or ys.size == 0:
         return x.copy()
     eps = cfg.epsilon
-    sign = -1.0 if cfg.objective == MAXIMIZE_TRUE_SCORE else 1.0
-    signed_step = sign * cfg.effective_step
-    # a row stops when its label's membership becomes `stop_when`
-    stop_when = cfg.objective == MINIMIZE_TRUE_SCORE
     rng = substream(cfg.seed, "pgd-restarts")
     # later restarts, over fewer rows, use blocks no wider than restart 0's
     width = max(end - start for start, end in row_blocks(ys.size, BLOCK_ROWS))
@@ -138,8 +127,8 @@ def pgd_attack_batch(
         their deltas becoming their results; returns the arrays without them."""
         if cal is None:
             return (slots, yb, delta, *more)
-        scores = score_all(cal.score_spec, trace.logits[: slots.size])
-        flipped = (scores[np.arange(slots.size), yb] <= cal.q_alpha) == stop_when
+        # a NaN score counts as flipped, as it leaves the vanilla set
+        flipped = ~(score(cal.score_spec, trace.logits[: slots.size], yb) <= cal.q_alpha)
         best_delta[slots[flipped]] = delta[flipped]
         stopped[slots[flipped]] = True
         return tuple(a[~flipped] for a in (slots, yb, delta, *more))
@@ -165,10 +154,10 @@ def pgd_attack_batch(
                     break
                 norms = np.linalg.norm(grad, axis=-1, keepdims=True)
                 direction = np.where(norms > 0, grad / np.maximum(norms, 1e-300), 0.0)
-                delta = _project_ball(delta + signed_step * direction, eps)
+                delta = _project_ball(delta - cfg.effective_step * direction, eps)
             slots, yb, delta, logits = drop_stopped(slots, yb, delta, trace.forward(xb + delta))
             logit = logits[np.arange(slots.size), yb]
-            better = sign * logit > sign * best_logit[slots]
+            better = logit < best_logit[slots]
             # a result that did not stop is projected once more (a few ulps)
             best_delta[slots[better]] = _project_ball(delta, eps)[better]
             best_logit[slots[better]] = logit[better]
@@ -189,18 +178,14 @@ def undecided_rows(
     """Rows whose coverage the certificate leaves open under `cfg`'s attack.
 
     ``logits`` are the clean logits. A covered row is undecided when its
-    exit budget is below epsilon (minimize: an uncovered row whose entry is
-    at most epsilon); the others are settled (see `coverage_under_attack`).
-    The budgets use the model's own Lipschitz product, and
-    epsilon * (1 + 1e-6) covers rounding in the forward pass and in layers
-    flagged orthogonal, whose norm may exceed 1 by ~1e-8.
+    exit budget is below epsilon; the others are settled (see
+    `coverage_under_attack`). The budgets use the model's own Lipschitz
+    product, and epsilon * (1 + 1e-6) covers rounding in the forward pass
+    and in layers flagged orthogonal, whose norm may exceed 1 by ~1e-8.
     """
     own = replace(cal, lipschitz_product=model.lipschitz_product)
     crit = critical_epsilons(own, score(cal.score_spec, logits, labels))
-    eps = cfg.epsilon * (1.0 + 1e-6)
-    if cfg.objective == MAXIMIZE_TRUE_SCORE:
-        return (crit.exit >= 0) & (crit.exit < eps)
-    return (crit.entry > 0) & (crit.entry <= eps)
+    return (crit.exit >= 0) & (crit.exit < cfg.epsilon * (1.0 + 1e-6))
 
 
 def coverage_under_attack(
@@ -213,25 +198,23 @@ def coverage_under_attack(
     """Coverage and mean size of vanilla sets at attacked points.
 
     One clean forward pass splits the rows in three with the critical
-    budgets (`undecided_rows`). For the maximize objective:
+    budgets (`undecided_rows`):
 
     * certified: the exit budget is >= epsilon, so the label stays covered
       wherever the attack goes;
     * lost: the label is uncovered at the clean point, where PGD starts and
-      whose objective it only ever improves on;
+      whose true logit it only ever lowers;
     * undecided: all other rows, the only ones that run PGD.
 
-    The minimize objective mirrors this. PGD gets `cal`, so each undecided
-    row stops at its first flip and later restarts attack only the rows
-    still standing (see `pgd_attack_batch`). Up to rounding, the coverage
-    can therefore only fall below that of a record-less attack (minimize:
-    only rise), and for the sigmoid score it equals that of attacking
-    every row with `pgd_attack_batch` and the same record. For softmax a
-    lower true logit need not mean a higher score, so attacking a lost row
-    can end at a covered point: the pruned coverage can fall below the
-    unpruned one (minimize: rise above it), still inside the certified
-    band. The mean set size is that of the sets at the inputs the attack
-    returns.
+    PGD gets `cal`, so each undecided row stops at its first flip and later
+    restarts attack only the rows still standing (see `pgd_attack_batch`).
+    Up to rounding, the coverage can therefore only fall below that of a
+    record-less attack, and for the sigmoid score it equals that of
+    attacking every row with `pgd_attack_batch` and the same record. For
+    softmax a lower true logit need not mean a higher score, so attacking a
+    lost row can end at a covered point: the pruned coverage can fall below
+    the unpruned one, still inside the certified band. The mean set size is
+    that of the sets at the inputs the attack returns.
     """
     x = np.atleast_2d(test_inputs)
     labels = np.atleast_1d(test_labels)

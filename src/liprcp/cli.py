@@ -423,7 +423,7 @@ def cmd_poison_certify(opts: dict) -> dict:
         k=opts["k"],
         epsilon=opts["epsilon"],
         lipschitz_product=ln,
-        score_lipschitz=spec.score_lipschitz,
+        score_spec=spec,
     )
     cert = poison.quantile_shift(cal_scores, opts["alpha"], budget, clip_range=(0.0, 1.0))
     _write(Path(opts["out"]), cert.to_json() + "\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -75,6 +76,8 @@ def make_gaussian_mixture(
     `separation`; labels are drawn uniformly. Requires c <= d so the simplex
     embeds isometrically.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if c < 2 or d < 2:
         raise ValueError("need c >= 2 and d >= 2")
     if c > d:
@@ -140,10 +143,10 @@ def _parse_fast(body: list, width: int):
     """(ids, labels, data) of the body lines from one np.loadtxt call, or
     None when `_parse` must decide: on an empty body, a line with another
     column count (loadtxt's usecols would drop extra cells), a negative
-    label, or any cell that loadtxt rejects, a label of 2^63 or more among
-    them. loadtxt reads a number as float() and int() do, and rejects every
-    form they alone accept (1_0, Unicode digits), so the lines it accepts
-    read the same on either path."""
+    label, a value that is not finite, or any cell that loadtxt rejects, a
+    label of 2^63 or more among them. loadtxt reads a number as float() and
+    int() do, and rejects every form they alone accept (1_0, Unicode
+    digits), so the lines it accepts read the same on either path."""
     if {line.count(",") for line in body} != {width + 1}:
         return None
     try:
@@ -153,7 +156,7 @@ def _parse_fast(body: list, width: int):
         )
     except ValueError:
         return None
-    if np.any(rows["label"] < 0):
+    if np.any(rows["label"] < 0) or not np.all(np.isfinite(rows["x"])):
         return None
     ids = np.array([line[: line.index(",")] for line in body])
     # contiguous copies, as the loop makes: the record array is then freed
@@ -163,7 +166,8 @@ def _parse_fast(body: list, width: int):
 def _parse(path, body: list, width: int, first_lineno: int = 2):
     """(ids, labels, data) of the body lines, cell by cell; the first bad
     line raises with its number, counting the first as `first_lineno`. A
-    label must be an int64 class index, in [0, 2^63)."""
+    label must be an int64 class index, in [0, 2^63), and every value
+    finite."""
     ids, labels, rows = [], [], []
     for lineno, line in enumerate(body, start=first_lineno):
         cells = line.split(",")
@@ -178,6 +182,9 @@ def _parse(path, body: list, width: int, first_lineno: int = 2):
             raise CsvFormatError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
         if not 0 <= label < 2**63:
             raise CsvFormatError(f"{path}:{lineno}: label {label} is not in [0, 2^63)")
+        if not all(map(math.isfinite, rows[-1])):
+            cell = next(v for v in cells[2:] if not math.isfinite(float(v)))
+            raise CsvFormatError(f"{path}:{lineno}: non-finite cell {cell!r}")
         labels.append(label)
         ids.append(cells[0])
     data = np.array(rows, dtype=float).reshape(len(rows), width)

@@ -22,13 +22,14 @@ from .scores import _softmax, require_keys
 
 ORTHO_TOL = 1e-9
 PROJ_TOL = 1e-10
+PROJ_MAX_ITERS = 200
 
 
 class DimensionError(ValueError):
     pass
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(ValueError):
     pass
 
 
@@ -363,20 +364,21 @@ def input_gradient_batch(
     return trace.backward(np.eye(model.n_classes)[ys])
 
 
-def bjorck_project(weight: np.ndarray, tol: float = PROJ_TOL, max_iters: int = 200) -> np.ndarray:
-    """Project onto matrices with orthonormal rows via Bjorck iteration."""
+def bjorck_project(weight: np.ndarray) -> np.ndarray:
+    """Project onto matrices with orthonormal rows via Bjorck iteration, to
+    a residual of PROJ_TOL within PROJ_MAX_ITERS steps or a ValueError."""
     w = np.asarray(weight, dtype=float)
     # the iteration W <- 1.5 W - 0.5 W W^T W converges for spectral norm < sqrt(3)
     sigma = np.linalg.norm(w, ord=2)
     if sigma > 1.5:
         w = w / sigma
-    for _ in range(max_iters):
+    for _ in range(PROJ_MAX_ITERS):
         gram = w @ w.T
         res = np.max(np.abs(gram - np.eye(w.shape[0])))
-        if res <= tol:
+        if res <= PROJ_TOL:
             return w
         w = 1.5 * w - 0.5 * (gram @ w)
-    raise RuntimeError(f"Bjorck projection stalled at residual {res:.3e}")
+    raise ValueError(f"Bjorck projection stalled at residual {res:.3e}")
 
 
 def train_toy(
@@ -392,12 +394,17 @@ def train_toy(
 
     After every step each orthogonal layer is re-projected onto the
     orthogonal manifold, so the returned model keeps lipschitz_product == 1
-    when the input model was all-orthogonal.
+    when the input model was all-orthogonal. A loss or an update that is not
+    finite raises TrainingDivergedError.
     """
     x = np.asarray(inputs, dtype=float)
     ys = np.asarray(labels)
     if x.shape[0] != ys.shape[0]:
         raise DimensionError("inputs and labels disagree on sample count")
+    if epochs < 0:
+        raise ValueError(f"epochs must be 0 or more, got {epochs}")
+    if not lr > 0:  # a negative rate would climb the loss
+        raise ValueError(f"lr must be positive, got {lr}")
     if epochs == 0:
         return model
     ortho = [layer.orthogonal for layer in model.layers]
@@ -410,7 +417,10 @@ def train_toy(
             raise TrainingDivergedError(f"loss diverged to {loss}")
         delta = (probs - onehot) / (x.shape[0] * temperature)
         grads = trace.backward(delta, x)
-        params = [(w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(trace.params, grads)]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            params = [(w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(trace.params, grads)]
+        if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in params):
+            raise TrainingDivergedError(f"update diverged at lr={lr}")
         trace.params = [(bjorck_project(w) if o else w, b) for (w, b), o in zip(params, ortho)]
     layers = [
         AffineLayer(weight=w, bias=b, orthogonal=o)

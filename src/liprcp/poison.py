@@ -1,32 +1,34 @@
 """Certificates against calibration-set feature poisoning.
 
-If at most k calibration samples have their scores moved by at most
-delta_score in absolute value, the conformal quantile (the r-th order
-statistic) can only reach values inside an exactly computable interval
-[q_min, q_max]: since the order statistic is coordinate-wise monotone in
-each score, the extremal configurations shift the k sorted scores adjacent
-to rank r by the full +-delta_score.
+If at most k calibration samples have their inputs moved by at most
+epsilon, each of their scores moves by at most delta_score =
+`scores.global_shift`, L_n * L_s * epsilon, and the conformal quantile (the
+r-th order statistic) can only reach values inside an exactly computable
+interval [q_min, q_max]: since the order statistic is coordinate-wise
+monotone in each score, the extremal configurations shift the k sorted
+scores adjacent to rank r by the full +-delta_score.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .conformal import CalibrationRecord, conformal_rank
-from .scores import ScoreSpec, check_budget
+from .scores import ScoreSpec, check_budget, global_shift
 
 
 @dataclass(frozen=True)
 class PoisonBudget:
-    """At most k samples poisoned, each input moved by at most epsilon."""
+    """At most k samples poisoned, each input moved by at most epsilon, for
+    a classifier of Lipschitz product L_n and the score of `score_spec`."""
 
     k: int
     epsilon: float
     lipschitz_product: float = 1.0
-    score_lipschitz: float = 0.25
+    score_spec: ScoreSpec = ScoreSpec()
 
     def __post_init__(self):
         if self.k < 0:
@@ -35,7 +37,7 @@ class PoisonBudget:
 
     @property
     def delta_score(self) -> float:
-        return self.lipschitz_product * self.score_lipschitz * self.epsilon
+        return global_shift(self.score_spec, self.epsilon, self.lipschitz_product)
 
 
 @dataclass(frozen=True)
@@ -61,27 +63,6 @@ class QuantileShiftCertificate:
         )
 
 
-def _shifted_order_stat(sorted_scores, rank, k, delta, direction, clip_range):
-    """r-th order statistic after the extremal shift of k adjacent ranks.
-
-    Raising the k ranks starting at the target rank yields
-    min(s_(r+k), s_(r) + delta); lowering the k ranks ending at it yields
-    max(s_(r-k), s_(r) - delta). A counting argument shows no other choice
-    of k samples does better. The value is recomputed by re-sorting so
-    that clipping is handled exactly.
-    """
-    n = sorted_scores.size
-    scores = sorted_scores.copy()
-    r = rank - 1  # 0-based
-    if direction > 0:
-        scores[r : min(n, r + k)] += delta
-    else:
-        scores[max(0, r - k + 1) : r + 1] -= delta
-    if clip_range is not None:
-        scores = np.clip(scores, clip_range[0], clip_range[1])
-    return float(np.sort(scores)[r])
-
-
 def quantile_shift(
     scores,
     alpha: float,
@@ -92,6 +73,12 @@ def quantile_shift(
 
     ``clip_range`` constrains poisoned scores to an interval (pass (0, 1)
     when scores are probabilities); None leaves shifts unconstrained.
+
+    Raising the k ranks from the target rank r up yields q_max =
+    min(s_(r+k), s_(r) + delta); lowering the k ranks up to it yields q_min =
+    max(s_(r-k), s_(r) - delta). A counting argument shows no other choice
+    of k samples does better, and clipping, being monotone, commutes with
+    taking an order statistic.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
@@ -99,14 +86,17 @@ def quantile_shift(
     if budget.k > scores.size:
         raise ValueError(f"k={budget.k} exceeds n={scores.size}")
     rank = conformal_rank(scores.size, alpha)
-    sorted_scores = np.sort(scores)
-    q_nominal = float(sorted_scores[rank - 1])
+    s, r = np.sort(scores), rank - 1  # r 0-based
+    q_nominal = float(s[r])
     k, delta = budget.k, budget.delta_score
     if k == 0 or delta == 0.0:
         return QuantileShiftCertificate(q_nominal, q_nominal, q_nominal, rank, budget)
-    q_max = _shifted_order_stat(sorted_scores, rank, k, delta, +1, clip_range)
-    q_min = _shifted_order_stat(sorted_scores, rank, k, delta, -1, clip_range)
-    return QuantileShiftCertificate(q_min, q_max, q_nominal, rank, budget)
+    # s_(r+k) and s_(r-k) beyond the ends are +inf and -inf
+    q_max = min(s[r + k] if r + k < s.size else np.inf, s[r] + delta)
+    q_min = max(s[r - k] if r >= k else -np.inf, s[r] - delta)
+    if clip_range is not None:
+        q_min, q_max = np.clip([q_min, q_max], *clip_range)
+    return QuantileShiftCertificate(float(q_min), float(q_max), q_nominal, rank, budget)
 
 
 def poison_robust_calibrate(
@@ -121,7 +111,10 @@ def poison_robust_calibrate(
 
     Whatever (k, epsilon)-poisoning was applied to the calibration scores,
     the clean-data quantile cannot exceed q_max, so coverage is preserved.
+    The certificate uses `score_spec` and `lipschitz_product`, the values
+    the record states, in place of the budget's own.
     """
+    budget = replace(budget, lipschitz_product=lipschitz_product, score_spec=score_spec)
     cert = quantile_shift(scores, alpha, budget, clip_range)
     return CalibrationRecord(
         q_alpha=cert.q_max,

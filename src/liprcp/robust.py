@@ -17,7 +17,8 @@ from dataclasses import replace
 import numpy as np
 
 from .conformal import CalibrationRecord, calibrate
-from .scores import TIGHT_MONOTONE, ScoreSpec, check_budget, lower_bound_all, upper_bound_all
+from .scores import (TIGHT_MONOTONE, ScoreSpec, check_budget, global_shift,
+                     lower_bound_all, upper_bound_all)
 
 
 def conservative_membership(
@@ -60,7 +61,7 @@ def robust_calibrate(
     quantile.
     """
     check_budget(epsilon)
-    shift = lipschitz_product * score_spec.score_lipschitz * epsilon
+    shift = global_shift(score_spec, epsilon, lipschitz_product)
     scores = np.asarray(cal_scores, dtype=float) + shift
     record = calibrate(scores, alpha, score_spec, lipschitz_product)
     return replace(record, epsilon_calibrated=epsilon)

@@ -111,30 +111,31 @@ def _margin_form(spec: ScoreSpec) -> tuple[float, float]:
     return 0.0, spec.temperature / 2.0
 
 
-def _margins(spec: ScoreSpec, logits: np.ndarray) -> np.ndarray:
-    """Per-class margins: the logits themselves for sigmoid; for softmax,
-    h_k = -(T/2) log A_k with A_k = sum_{j != k} exp((l_j - l_k) / T)."""
+def _margins(spec: ScoreSpec, lg: np.ndarray, y=None) -> np.ndarray:
+    """Margins of the (n, c) logits: every class's, or, given labels y,
+    label y's alone as an (n, 1) column. Both run the same operations, so a
+    label's margin equals its entry of the full matrix bit for bit.
+
+    Sigmoid margins are the logits. For softmax, h_k = -(T/2) log A_k with
+    A_k = sum_{j != k} exp((l_j - l_k) / T). With m1 the top logit and m2
+    the runner-up, e_j = exp((l_j - m2) / T) for j != top and 0 at top, so
+    e_j <= 1 <= r = sum e_j; then, free of cancellation, A_top = exp((m2 -
+    m1) / T) r and A_k = exp((m1 - l_k) / T) (1 + exp((m2 - m1) / T) (r -
+    e_k)). Logits are differenced before dividing by T, so large logits
+    keep their digits.
+    """
+    n, c = lg.shape
+    cols = np.arange(c) if y is None else np.reshape(y, (-1, 1))
+
+    def pick(a):
+        return a if y is None else a[np.arange(n)[:, None], cols]
+
     if spec.kind == LAC_SIGMOID:
-        return logits
+        return pick(lg)
+    if c == 1:  # no other class: A = 0, the score is 0
+        return np.full(pick(lg).shape, np.inf)
     t = spec.temperature
-    lg = np.atleast_2d(logits)
-    if lg.shape[1] == 1:  # no other class: A = 0, the score is 0
-        return np.full(np.shape(logits), np.inf)
-    rows, top, m1, m2, e, r = _softmax_terms(t, lg)
-    rest = np.exp((m2 - m1) / t)[:, None] * (r[:, None] - e)
-    h = (lg - m1[:, None]) / 2 - t / 2 * np.log1p(rest)
-    h[rows, top] = (m1 - m2) / 2 - t / 2 * np.log(r)
-    return h.reshape(np.shape(logits))
-
-
-def _softmax_terms(t: float, lg: np.ndarray) -> tuple:
-    """(rows, top, m1, m2, e, r) of the softmax margins of (n, c) logits,
-    c >= 2. With m1 the top logit and m2 the runner-up, e_j = exp((l_j -
-    m2) / T) for j != top and 0 at top, so e_j <= 1 <= r = sum e_j; then,
-    free of cancellation, A_top = exp((m2 - m1) / T) r and A_k = exp((m1 -
-    l_k) / T) (1 + exp((m2 - m1) / T) (r - e_k)). Logits are differenced
-    before dividing by T, so large logits keep their digits."""
-    rows, top = np.arange(lg.shape[0]), np.argmax(lg, axis=1)
+    rows, top = np.arange(n), np.argmax(lg, axis=1)
     m1 = lg[rows, top]
     e = lg.copy()
     e[rows, top] = -np.inf
@@ -143,37 +144,34 @@ def _softmax_terms(t: float, lg: np.ndarray) -> tuple:
     e -= m2[:, None]
     e /= t
     np.exp(e, out=e)
-    return rows, top, m1, m2, e, e.sum(axis=1)
+    r = e.sum(axis=1)[:, None]
+    e = pick(e)
+    m1, m2 = m1[:, None], m2[:, None]
+    rest = np.exp((m2 - m1) / t) * (r - e)
+    h = (pick(lg) - m1) / 2 - t / 2 * np.log1p(rest)
+    np.copyto(h, (m1 - m2) / 2 - t / 2 * np.log(r), where=cols % c == top[:, None])
+    return h
 
 
-def _label_margins(spec: ScoreSpec, lg: np.ndarray, y) -> np.ndarray:
-    """Margin of label y in each row of the (n, c) logits: `_margins`
-    gathered at y, bit for bit, by the same operations on y's entries only."""
-    rows = np.arange(lg.shape[0])
-    if spec.kind == LAC_SIGMOID:
-        return lg[rows, y]
-    t = spec.temperature
-    if lg.shape[1] == 1:  # no other class: A = 0, the score is 0
-        return np.full(lg[rows, y].shape, np.inf)
-    _, top, m1, m2, e, r = _softmax_terms(t, lg)
-    e_y = e[rows, y]
-    del e
-    rest = np.exp((m2 - m1) / t) * (r - e_y)
-    h = (lg[rows, y] - m1) / 2 - t / 2 * np.log1p(rest)
-    return np.where(y % lg.shape[1] == top, (m1 - m2) / 2 - t / 2 * np.log(r), h)
-
-
-def _from_margins(spec: ScoreSpec, margins, shift: float = 0.0) -> np.ndarray:
-    """Scores of the given margins, each moved by `shift`."""
+def _scores(spec: ScoreSpec, logits, shift: float = 0.0, y=None):
+    """Scores of every class of the logits, (c,) or batched (n, c), each
+    margin moved by `shift`; given labels y, label y's score alone, a float
+    for (c,) logits. Over a ball that moves each logit by at most r, the
+    lowest scores are those at shift +r and the highest those at -r."""
+    logits = np.asarray(logits, dtype=float)
     offset, scale = _margin_form(spec)
-    return 1.0 - _sigmoid((margins + shift - offset) / scale)
+    h = _margins(spec, logits.reshape(-1, logits.shape[-1]), y)
+    s = 1.0 - _sigmoid((h + shift - offset) / scale)
+    if y is None:
+        return s.reshape(logits.shape)
+    return float(s[0, 0]) if logits.ndim == 1 else s.ravel()
 
 
-def _bound(spec: ScoreSpec, logits: np.ndarray, shift: float) -> np.ndarray:
-    """Scores of every class with each margin moved by `shift`: the scores
-    at 0, and over a ball that moves each logit by at most r, the lowest at
-    +r and the highest at -r."""
-    return _from_margins(spec, _margins(spec, logits), shift)
+def global_shift(spec: ScoreSpec, epsilon: float, lipschitz_product: float) -> float:
+    """L_n * L_s * epsilon: how far any score moves over the epsilon-ball of
+    an L_n-Lipschitz classifier. The global bound, the shifted calibration
+    and the poisoning certificate all move scores by it."""
+    return (lipschitz_product * spec.score_lipschitz) * epsilon
 
 
 def margin_gap(spec: ScoreSpec, s, t):
@@ -197,7 +195,7 @@ def margin_gap(spec: ScoreSpec, s, t):
 
 def score_all(spec: ScoreSpec, logits: np.ndarray) -> np.ndarray:
     """Scores of every class; logits may be (c,) or batched (n, c)."""
-    return _bound(spec, np.asarray(logits, dtype=float), 0.0)
+    return _scores(spec, logits)
 
 
 def score(spec: ScoreSpec, logits: np.ndarray, y) -> float | np.ndarray:
@@ -208,9 +206,7 @@ def score(spec: ScoreSpec, logits: np.ndarray, y) -> float | np.ndarray:
     array of exponentials for softmax. Equal, bit for bit, to
     ``score_all(spec, logits)[rows, y]``.
     """
-    logits = np.asarray(logits, dtype=float)
-    margins = _from_margins(spec, _label_margins(spec, np.atleast_2d(logits), np.asarray(y)))
-    return float(margins[0]) if logits.ndim == 1 else margins
+    return _scores(spec, logits, y=y)
 
 
 def lower_bound_all(
@@ -238,10 +234,9 @@ def upper_bound_all(
 def _ball_bound(spec, logits, epsilon, lipschitz_product, method, sign):
     """The lower (sign 1) or upper (sign -1) bound of `method`."""
     check_budget(epsilon)
-    logits = np.asarray(logits, dtype=float)
-    shift = sign * lipschitz_product * epsilon
     if method == TIGHT_MONOTONE:
-        return _bound(spec, logits, shift)
+        return _scores(spec, logits, sign * lipschitz_product * epsilon)
     if method != GLOBAL_LIPSCHITZ:
         raise ValueError(f"unknown bound method {method!r}")
-    return np.clip(score_all(spec, logits) - spec.score_lipschitz * shift, 0.0, 1.0)
+    shift = sign * global_shift(spec, epsilon, lipschitz_product)
+    return np.clip(_scores(spec, logits) - shift, 0.0, 1.0)

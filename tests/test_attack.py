@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from liprcp import attack
 from liprcp.attack import (
-    MAXIMIZE_TRUE_SCORE,
-    MINIMIZE_TRUE_SCORE,
     AttackConfig,
     coverage_under_attack,
     pgd_attack_batch,
@@ -50,8 +48,6 @@ class TestConfig:
         for epsilon in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 AttackConfig(epsilon=epsilon)
-        with pytest.raises(ValueError):
-            AttackConfig(epsilon=0.1, objective="confuse")
 
     @pytest.mark.parametrize(
         "option",
@@ -85,24 +81,18 @@ class TestBallConstraint:
 class TestLinearOptimality:
     def test_matches_closed_form_on_linear_model(self):
         # for a linear logit w.x + b the worst case in the ball is
-        # logit -+ epsilon * ||w||, reached exactly by normalized descent
+        # logit - epsilon * ||w||, reached exactly by normalized descent
         rng = np.random.default_rng(42)
         W = rng.standard_normal((3, 5))
         b = rng.standard_normal(3)
         model = linear_model(W, b)
         x = rng.standard_normal(5)
         eps = 0.7
-        for objective, sign in (
-            (MAXIMIZE_TRUE_SCORE, -1.0),
-            (MINIMIZE_TRUE_SCORE, +1.0),
-        ):
-            cfg = AttackConfig(
-                epsilon=eps, steps=60, restarts=2, seed=5, objective=objective
-            )
-            xa = pgd_attack_batch(model, x[None, :], np.array([1]), cfg)
-            achieved = forward(model, xa)[0, 1]
-            target = W[1] @ x + b[1] + sign * eps * np.linalg.norm(W[1])
-            assert achieved == pytest.approx(target, abs=1e-9)
+        cfg = AttackConfig(epsilon=eps, steps=60, restarts=2, seed=5)
+        xa = pgd_attack_batch(model, x[None, :], np.array([1]), cfg)
+        achieved = forward(model, xa)[0, 1]
+        target = W[1] @ x + b[1] - eps * np.linalg.norm(W[1])
+        assert achieved == pytest.approx(target, abs=1e-9)
 
     def test_attack_never_hurts_objective(self):
         rng = np.random.default_rng(43)
@@ -114,7 +104,7 @@ class TestLinearOptimality:
         cfg = AttackConfig(epsilon=0.4, steps=25, restarts=3, seed=8)
         clean = forward(model, x)[np.arange(30), y]
         attacked = forward(model, pgd_attack_batch(model, x, y, cfg))[np.arange(30), y]
-        # maximize-score objective lowers the true logit, never raises it
+        # the attack lowers the true logit, never raises it
         assert np.all(attacked <= clean + 1e-12)
 
     def test_score_drop_bounded_by_lipschitz(self):
@@ -221,8 +211,7 @@ def unpruned_coverage(model, rec, x, y, cfg):
 
 
 class TestPruning:
-    @pytest.mark.parametrize("objective", [MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE])
-    def test_matches_unpruned_on_acceptance_mixtures(self, trained_model, objective):
+    def test_matches_unpruned_on_acceptance_mixtures(self, trained_model):
         # the 20 seeded mixtures and the epsilon grid of acceptance criterion 7
         spec = ScoreSpec()
         undecided_total = 0
@@ -232,9 +221,7 @@ class TestPruning:
             cal_scores = score(spec, forward(trained_model, cal.data), cal.labels)
             rec = calibrate(cal_scores, 0.1, spec, trained_model.lipschitz_product)
             for eps in (0.0, 0.1, 0.25, 0.5):
-                cfg = AttackConfig(
-                    epsilon=eps, steps=10, restarts=2, seed=run, objective=objective
-                )
+                cfg = AttackConfig(epsilon=eps, steps=10, restarts=2, seed=run)
                 pruned, _ = coverage_under_attack(trained_model, rec, ev.data, ev.labels, cfg)
                 full = unpruned_coverage(trained_model, rec, ev.data, ev.labels, cfg)
                 assert pruned * ev.n == full * ev.n
@@ -256,17 +243,14 @@ class TestPruning:
         none = pgd_attack_batch(trained_model, x, y, cfg, mask=np.zeros(40, bool))
         np.testing.assert_array_equal(none, x)
 
-    @pytest.mark.parametrize("objective", [MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE])
-    def test_masked_rows_match_unmasked_run(self, trained_model, objective):
+    def test_masked_rows_match_unmasked_run(self, trained_model):
         # several restarts with few steps keep the restart noise visible, so
         # this fails if masked rows drew different noise
         rng = np.random.default_rng(49)
         x = rng.standard_normal((60, 6))
         y = rng.integers(0, 3, size=60)
         mask = rng.uniform(size=60) < 0.3
-        cfg = AttackConfig(
-            epsilon=0.5, steps=2, restarts=5, seed=18, objective=objective
-        )
+        cfg = AttackConfig(epsilon=0.5, steps=2, restarts=5, seed=18)
         full = pgd_attack_batch(trained_model, x, y, cfg)
         masked = pgd_attack_batch(trained_model, x, y, cfg, mask=mask)
         np.testing.assert_allclose(masked[mask], full[mask], rtol=0, atol=1e-12)
@@ -290,10 +274,9 @@ class TestPruning:
             st.floats(0.01, 0.99),
         ),
         eps=st.floats(0.05, 1.5),
-        objective=st.sampled_from([MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE]),
     )
     def test_settled_rows_never_flip_under_full_attack(
-        self, seed, weight_scale, temperature, q, eps, objective
+        self, seed, weight_scale, temperature, q, eps
     ):
         # the first layer is not orthogonal, so the Lipschitz product comes
         # from its spectral norm; the 1e-6 certification margin covers rounding
@@ -311,7 +294,7 @@ class TestPruning:
         )
         x = rng.standard_normal((40, 5))
         y = rng.integers(0, 3, size=40)
-        cfg = AttackConfig(epsilon=eps, steps=15, restarts=2, seed=seed, objective=objective)
+        cfg = AttackConfig(epsilon=eps, steps=15, restarts=2, seed=seed)
         logits = forward(model, x)
         covered = vanilla_membership(rec, logits)[np.arange(40), y]
         settled = ~undecided_rows(model, rec, logits, y, cfg)
@@ -337,42 +320,37 @@ def stopping_case(n, kind, seed=0):
     return model, x, y, rec
 
 
-def flipped_at(model, rec, out, y, objective):
-    """Rows whose true label is out of the set at `out` (minimize: in it)."""
-    covered = vanilla_membership(rec, forward(model, out))[np.arange(y.size), y]
-    return covered != (objective == MAXIMIZE_TRUE_SCORE)
+def flipped_at(model, rec, out, y):
+    """Rows whose true label is out of the set at `out`."""
+    return ~vanilla_membership(rec, forward(model, out))[np.arange(y.size), y]
 
 
 class TestStopping:
     """With a record, a row stops at its first coverage flip."""
 
     @pytest.mark.parametrize("kind", [LAC_SIGMOID, LAC_SOFTMAX])
-    @pytest.mark.parametrize("objective", [MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE])
-    def test_flips_every_row_the_record_less_attack_flips(self, kind, objective):
+    def test_flips_every_row_the_record_less_attack_flips(self, kind):
         model, x, y, rec = stopping_case(400, kind)
-        cfg = AttackConfig(epsilon=0.5, steps=6, restarts=3, seed=1, objective=objective)
-        full = flipped_at(model, rec, pgd_attack_batch(model, x, y, cfg), y, objective)
-        stopping = flipped_at(
-            model, rec, pgd_attack_batch(model, x, y, cfg, cal=rec), y, objective
-        )
+        cfg = AttackConfig(epsilon=0.5, steps=6, restarts=3, seed=1)
+        full = flipped_at(model, rec, pgd_attack_batch(model, x, y, cfg), y)
+        stopping = flipped_at(model, rec, pgd_attack_batch(model, x, y, cfg, cal=rec), y)
         assert 0 < full.sum() < y.size
-        # so coverage never rises under maximize and never falls under minimize
+        # so coverage never rises
         assert np.all(stopping[full])
 
     @pytest.mark.parametrize("kind", [LAC_SIGMOID, LAC_SOFTMAX])
-    @pytest.mark.parametrize("objective", [MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE])
-    def test_a_row_ends_flipped_or_as_without_a_record(self, kind, objective):
+    def test_a_row_ends_flipped_or_as_without_a_record(self, kind):
         # a row that never stops runs exactly as without a record; one that
         # stops returns the iterate it was tested at
         model, x, y, rec = stopping_case(400, kind, seed=1)
-        cfg = AttackConfig(epsilon=0.5, steps=6, restarts=3, seed=2, objective=objective)
+        cfg = AttackConfig(epsilon=0.5, steps=6, restarts=3, seed=2)
         full = pgd_attack_batch(model, x, y, cfg)
         out = pgd_attack_batch(model, x, y, cfg, cal=rec)
         # beyond rounding: a block that shrinks to one row multiplies it
         # through BLAS's matrix-vector path, which may round differently
         moved = np.abs(out - full).max(axis=1) > 1e-9
         assert moved.any()
-        assert np.all(flipped_at(model, rec, out, y, objective)[moved])
+        assert np.all(flipped_at(model, rec, out, y)[moved])
         assert np.all(np.linalg.norm(out - x, axis=1) <= 0.5 + 1e-10)
 
     @pytest.mark.parametrize(
@@ -383,16 +361,15 @@ class TestStopping:
         # this fails if masked rows drew different noise
         model, x, y, rec = stopping_case(n, LAC_SIGMOID, seed=n)
         mask = np.random.default_rng(n).uniform(size=n) < 0.7
-        for objective in (MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE):
-            cfg = AttackConfig(epsilon=0.5, steps=3, restarts=3, seed=n, objective=objective)
-            ref = pgd_attack_batch(model, x, y, cfg, cal=rec)
-            masked = pgd_attack_batch(model, x, y, cfg, mask=mask, cal=rec)
-            np.testing.assert_array_equal(bits(masked[mask]), bits(ref[mask]))
-            np.testing.assert_array_equal(masked[~mask], x[~mask])
-            with monkeypatch.context() as m:
-                m.setattr(attack, "BLOCK_ROWS", n)
-                whole = pgd_attack_batch(model, x, y, cfg, cal=rec)
-            np.testing.assert_array_equal(bits(whole), bits(ref))
+        cfg = AttackConfig(epsilon=0.5, steps=3, restarts=3, seed=n)
+        ref = pgd_attack_batch(model, x, y, cfg, cal=rec)
+        masked = pgd_attack_batch(model, x, y, cfg, mask=mask, cal=rec)
+        np.testing.assert_array_equal(bits(masked[mask]), bits(ref[mask]))
+        np.testing.assert_array_equal(masked[~mask], x[~mask])
+        with monkeypatch.context() as m:
+            m.setattr(attack, "BLOCK_ROWS", n)
+            whole = pgd_attack_batch(model, x, y, cfg, cal=rec)
+        np.testing.assert_array_equal(bits(whole), bits(ref))
 
 
 # The attack as first written, kept as the bit-for-bit reference: every
@@ -442,17 +419,16 @@ def project_ball_oracle(delta, epsilon):
     return delta * np.minimum(1.0, epsilon / np.maximum(norms, 1e-300))
 
 
-def pgd_step_oracle(model, x, y, delta, signed_step, epsilon):
+def pgd_step_oracle(model, x, y, delta, step, epsilon):
     grad = input_gradient_oracle(model, x + delta, y)
     norms = np.linalg.norm(grad, axis=-1, keepdims=True)
     direction = np.where(norms > 0, grad / np.maximum(norms, 1e-300), 0.0)
-    return project_ball_oracle(delta + signed_step * direction, epsilon)
+    return project_ball_oracle(delta - step * direction, epsilon)
 
 
 def pgd_attack_oracle(model, x, y, cfg, mask=None):
     rows = slice(None) if mask is None else np.flatnonzero(mask)
     ys = y[rows]
-    sign = -1.0 if cfg.objective == MAXIMIZE_TRUE_SCORE else 1.0
     rng = substream(cfg.seed, "pgd-restarts")
     best_delta = np.zeros((ys.size, x.shape[1]))
     best_logit = forward(model, x[rows])[np.arange(ys.size), ys]
@@ -464,11 +440,9 @@ def pgd_attack_oracle(model, x, y, cfg, mask=None):
                 rng.standard_normal(x.shape)[rows] * cfg.epsilon, cfg.epsilon
             )
         for _ in range(cfg.steps):
-            delta = pgd_step_oracle(
-                model, x[rows], ys, delta, sign * cfg.effective_step, cfg.epsilon
-            )
+            delta = pgd_step_oracle(model, x[rows], ys, delta, cfg.effective_step, cfg.epsilon)
         logit = forward(model, x[rows] + delta)[np.arange(ys.size), ys]
-        better = sign * logit > sign * best_logit
+        better = logit < best_logit
         best_delta[better] = delta[better]
         best_logit[better] = logit[better]
     out = x.copy()
@@ -513,16 +487,13 @@ class TestAgainstParentOracle:
         y = rng.integers(0, 3, size=n)
         assert np.any(y == 0)  # rows with a zero gradient
         masks = [None, rng.uniform(size=n) < 0.7]
-        for objective in (MAXIMIZE_TRUE_SCORE, MINIMIZE_TRUE_SCORE):
-            for restarts in (1, 3):
-                cfg = AttackConfig(
-                    epsilon=0.6, steps=3, restarts=restarts, seed=n, objective=objective
+        for restarts in (1, 3):
+            cfg = AttackConfig(epsilon=0.6, steps=3, restarts=restarts, seed=n)
+            for mask in masks:
+                np.testing.assert_array_equal(
+                    bits(pgd_attack_batch(model, x, y, cfg, mask=mask)),
+                    bits(pgd_attack_oracle(model, x, y, cfg, mask=mask)),
                 )
-                for mask in masks:
-                    np.testing.assert_array_equal(
-                        bits(pgd_attack_batch(model, x, y, cfg, mask=mask)),
-                        bits(pgd_attack_oracle(model, x, y, cfg, mask=mask)),
-                    )
 
     @pytest.mark.parametrize("model_name", ["linear", "hidden5"])
     @pytest.mark.parametrize("integer_valued", [False, True])

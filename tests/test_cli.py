@@ -1,14 +1,18 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liprcp
 from liprcp import attack, audit, cli, conformal, datasets, lipnet, poison, robust, scores
 
 
@@ -516,10 +520,7 @@ class TestPipeline:
         if command == "calibrate":
             assert written["lipschitz_product"] == ln
         else:
-            budget = poison.PoisonBudget(
-                k=0, epsilon=0.1, lipschitz_product=ln,
-                score_lipschitz=scores.ScoreSpec().score_lipschitz,
-            )
+            budget = poison.PoisonBudget(k=0, epsilon=0.1, lipschitz_product=ln)
             assert written["delta_score"] == budget.delta_score
 
     def test_model_product_is_certified(self, workspace, capsys):
@@ -651,6 +652,8 @@ class TestBadValues:
             ("synth", "--n", "-5", "--n -5: synth needs at least 1 row"),
             ("synth", "--n", "0", "--n 0: synth needs at least 1 row"),
             ("train", "--epochs", "-1", "--epochs -1: must be 0 or more"),
+            ("train", "--lr", "-1e3", "lr must be positive, got -1000.0"),
+            ("train", "--lr", "0", "lr must be positive, got 0.0"),
             ("audit", "--delta", "1.5", "delta=1.5 outside (0, 1)"),
             ("audit", "--delta", "0", "delta=0.0 outside (0, 1)"),
             ("audit", "--delta", "-0.1", "delta=-0.1 outside (0, 1)"),
@@ -658,6 +661,7 @@ class TestBadValues:
             ("attack-eval", "--delta", "1", "delta=1.0 outside (0, 1)"),
         ],
         ids=["synth-negative-n", "synth-zero-n", "train-negative-epochs",
+             "train-negative-lr", "train-zero-lr",
              "audit-delta-above-1", "audit-zero-delta", "audit-negative-delta",
              "attack-eval-delta-above-1", "attack-eval-delta-1"],
     )
@@ -673,6 +677,20 @@ class TestBadValues:
         assert (code, stdout, calls) == (1, "", [])
         assert json.loads(stderr) == {"error": message}
         assert not (workspace["tmp"] / "out").exists()
+
+    @pytest.mark.parametrize("lr", ["1e20", "1e200"])
+    def test_diverging_training_is_one_json_error(self, workspace, capsys, lr):
+        # 1e200 overflows the update; 1e20 leaves Bjorck iteration too far to go
+        out = workspace["tmp"] / "out" / "model.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run(
+                ["train", "--data", str(workspace["data"]), "--out", str(out),
+                 "--lr", lr, "--epochs", "5"], capsys
+            )
+        assert (code, stdout) == (1, "")
+        assert list(json.loads(stderr)) == ["error"]
+        assert not out.exists()
 
     def test_band_rejects_delta_outside_the_unit_interval(self):
         rec = conformal.CalibrationRecord(
@@ -760,6 +778,23 @@ class TestMalformedFiles:
         assert (code, stdout) == (1, "")
         assert json.loads(stderr)["error"].startswith(f"{bad}:3: non-numeric cell")
         assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_names_its_line(self, workspace, capsys, cell):
+        # such a cell used to load, and its class silently left every set
+        logits = workspace["tmp"] / "logits.csv"
+        logits.write_text(f"id,label,logit_0,logit_1\n0,0,1.0,-1.0\n1,1,{cell},0.5\n")
+        inputs = workspace["tmp"] / "inputs.csv"
+        lines = workspace["data"].read_text().splitlines()
+        lines[2] = ",".join([*lines[2].split(",")[:3], cell, *lines[2].split(",")[4:]])
+        inputs.write_text("\n".join(lines) + "\n")
+        out = workspace["tmp"] / "out" / "x"
+        for argv in (["predict", "--data", str(logits), "--record", str(workspace["record"])],
+                     ["train", "--data", str(inputs)]):
+            code, stdout, stderr = run([*argv, "--out", str(out)], capsys)
+            assert (code, stdout) == (1, "")
+            assert json.loads(stderr)["error"] == f"{argv[2]}:3: non-finite cell {cell!r}"
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -1070,6 +1105,19 @@ def test_each_command_loads_only_its_own_modules(workspace, capsys):
         assert ("poison" in modules) == (command == "poison-certify"), case
         assert ("robust" in modules) == (command in ("calibrate", "robust-predict")), case
     assert {case: sorted(m) for case, m in observed.items()} == _COMMAND_MODULES
+
+
+def test_every_package_exception_is_a_value_error():
+    # main prints a ValueError as one JSON error; any other class would end
+    # a command in a traceback
+    classes = []
+    for info in pkgutil.iter_modules(liprcp.__path__):
+        module = importlib.import_module(f"liprcp.{info.name}")
+        classes += [obj for obj in vars(module).values() if isinstance(obj, type)
+                    and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
+    names = {c.__name__ for c in classes}
+    assert {"CheckError", "CsvFormatError", "TrainingDivergedError"} <= names
+    assert [c for c in classes if not issubclass(c, ValueError)] == []
 
 
 def test_literal_defaults_name_the_constants():

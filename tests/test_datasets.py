@@ -70,6 +70,11 @@ class TestGaussianMixture:
         cov = np.cov(centered.T)
         np.testing.assert_allclose(cov, np.eye(4), atol=0.05)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_fewer_than_one_row(self, n):
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            make_gaussian_mixture(n, 4, 2, 3.0, seed=0)
+
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             make_gaussian_mixture(10, 2, 3, 1.0, seed=0)
@@ -102,6 +107,9 @@ def whole_file_loader(path):
             raise CsvFormatError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
         if not 0 <= label < 2**63:
             raise CsvFormatError(f"{path}:{lineno}: label {label} is not in [0, 2^63)")
+        bad = [v for v in cells[2:] if not np.isfinite(float(v))]
+        if bad:
+            raise CsvFormatError(f"{path}:{lineno}: non-finite cell {bad[0]!r}")
         labels.append(label)
         ids.append(cells[0])
     return LabeledDataset(
@@ -399,6 +407,16 @@ class TestFastPath:
             warnings.simplefilter("error")
             with pytest.raises(CsvFormatError, match=f"labels.csv:3: label {label} is not in"):
                 load_inputs_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e400"])
+    @pytest.mark.parametrize("load", [load_inputs_csv, load_logits_csv])
+    def test_non_finite_cell_names_its_line(self, tmp_path, load, cell):
+        prefix = "x" if load is load_inputs_csv else "logit"
+        p = tmp_path / "cells.csv"
+        p.write_text(f"id,label,{prefix}_0,{prefix}_1\na,0,1.5,2\nb,1,2.5,{cell}\n")
+        assert datasets._parse_fast(p.read_text().splitlines()[1:], 2) is None
+        with pytest.raises(CsvFormatError, match=f"cells.csv:3: non-finite cell '{cell}'"):
+            load(p)
 
     def test_extra_cell_is_not_dropped(self, tmp_path):
         # loadtxt's usecols would read only the first three cells

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -349,6 +350,32 @@ class TestTrainToy:
         for layer in trained.layers:
             assert lipnet.orthogonality_residual(layer.weight) <= 1e-8
         assert trained.lipschitz_product == 1.0
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [({"epochs": -1}, "epochs must be 0 or more"), ({"lr": 0.0}, "lr must be positive"),
+         ({"lr": -1e3}, "lr must be positive"), ({"lr": float("nan")}, "lr must be positive")],
+    )
+    def test_rejects_bad_options(self, option, message):
+        model = linear_model(np.eye(2), orthogonal=True)
+        x, y = self.make_task()
+        with pytest.raises(ValueError, match=message):
+            train_toy(model, x, y, **{"epochs": 3, "lr": 0.1, **option})
+
+    def test_non_finite_update_raises_without_warnings(self):
+        x, y = self.make_task(seed=7)
+        model = LipschitzClassifier(
+            layers=(build_orthogonal(2, 2, seed=5), build_orthogonal(2, 2, seed=6))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lipnet.TrainingDivergedError, match="update diverged"):
+                train_toy(model, x, y, epochs=5, lr=1e308)
+
+    def test_stalled_projection_is_a_value_error(self):
+        # a singular value of 1e-200 needs about 1 100 Bjorck steps to reach 1
+        with pytest.raises(ValueError, match="Bjorck projection stalled"):
+            lipnet.bjorck_project(np.diag([1.0, 1e-200]))
 
 
 def train_toy_oracle(model, x, ys, epochs, lr, temperature):

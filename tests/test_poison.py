@@ -138,3 +138,18 @@ class TestPoisonRobustCalibrate:
             test_scores = rng.uniform(size=200)
             hits.append(np.mean(test_scores <= rec.q_alpha))
         assert np.mean(hits) >= 1 - alpha
+
+    def test_certifies_with_the_spec_and_product_it_records(self):
+        # softmax at T = 0.5 has L_s = 1, so with L = 2 the shift is 0.2; the
+        # budget's own L = 1 and sigmoid L_s = 1/4 once certified 0.025
+        scores = np.random.default_rng(33).uniform(size=1000)
+        spec = ScoreSpec(kind="lac_softmax", temperature=0.5)
+        rec = poison_robust_calibrate(
+            scores, 0.1, PoisonBudget(k=50, epsilon=0.1), spec, lipschitz_product=2.0
+        )
+        stated = PoisonBudget(k=50, epsilon=0.1, lipschitz_product=2.0, score_spec=spec)
+        assert stated.delta_score == pytest.approx(0.2, rel=1e-15)
+        cert = quantile_shift(scores, 0.1, stated, clip_range=(0.0, 1.0))
+        assert cert.q_max > cert.q_nominal + 0.025  # beyond the reach of 0.025
+        assert rec.q_alpha == cert.q_max
+        assert (rec.score_spec, rec.lipschitz_product) == (spec, 2.0)

@@ -7,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liprcp import lipnet
+from liprcp.conformal import calibrate
+from liprcp.poison import PoisonBudget
+from liprcp.robust import robust_calibrate
 from liprcp.scores import (
     GLOBAL_LIPSCHITZ,
     LAC_SOFTMAX,
     TIGHT_MONOTONE,
     ScoreSpec,
+    global_shift,
     lower_bound_all,
     _margins,
     margin_gap,
@@ -151,6 +155,26 @@ class TestGlobalBound:
             for bound in (lower_bound_all, upper_bound_all):
                 with pytest.raises(ValueError, match="epsilon"):
                     bound(SIGMOID, np.array([[0.0, 1.0]]), epsilon, 1.0, method)
+
+
+    def test_one_shift_for_the_bound_the_calibration_and_the_poisoning(self):
+        # at softmax T = 3, L = 1.1 and eps = 0.37 the three orders of the
+        # product L * L_s * eps give three doubles; every user takes one
+        spec, lip, eps = ScoreSpec(kind=LAC_SOFTMAX, temperature=3.0), 1.1, 0.37
+        shift = global_shift(spec, eps, lip)
+        assert shift == (lip * spec.score_lipschitz) * eps
+        ls = spec.score_lipschitz
+        assert shift not in (ls * (lip * eps), lip * (ls * eps))
+        logits = np.random.default_rng(36).standard_normal((50, 4))
+        s = score_all(spec, logits)
+        for bound, sign in ((lower_bound_all, -1.0), (upper_bound_all, 1.0)):
+            got = bound(spec, logits, eps, lip, GLOBAL_LIPSCHITZ)
+            np.testing.assert_array_equal(got, np.clip(s + sign * shift, 0.0, 1.0))
+        cal = s[:, 0]
+        rec = robust_calibrate(cal, 0.1, eps, spec, lip)
+        assert rec.q_alpha == calibrate(cal + shift, 0.1, spec, lip).q_alpha
+        budget = PoisonBudget(k=1, epsilon=eps, lipschitz_product=lip, score_spec=spec)
+        assert budget.delta_score == shift
 
 
 class TestTightBound:
