@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import CalibrationRecord
-from .scores import GLOBAL_LIPSCHITZ, TIGHT_MONOTONE, margin_gap
+from .scores import GLOBAL_LIPSCHITZ, TIGHT_MONOTONE, global_shift, margin_gap
 
 RIGHT_CONTINUOUS = "right_continuous"
 LEFT_CONTINUOUS = "left_continuous"
@@ -139,8 +139,9 @@ def critical_epsilons(
     A row is covered at epsilon = 0 iff its score is <= q_alpha, as in the
     vanilla set. A tight budget is the margin gap between the score and
     q_alpha (`scores.margin_gap`) over L, for both score families; a global
-    one is the score gap over L * L_s. Both are rounded toward 0. q_alpha is
-    clipped to [0, 1]; at 0 or 1 budgets are infinite.
+    one is the score gap over L * L_s, `scores.global_shift` at epsilon = 1.
+    Both are rounded toward 0. q_alpha is clipped to [0, 1]; at 0 or 1
+    budgets are infinite.
     """
     s = np.asarray(eval_scores_true_label, dtype=float)
     q = cal.q_alpha
@@ -155,7 +156,7 @@ def critical_epsilons(
     if method == TIGHT_MONOTONE:
         budget = margin_gap(spec, above, below) / ln * _SHRINK
     else:
-        budget = (below - above) / (ln * spec.score_lipschitz) * _SHRINK
+        budget = (below - above) / global_shift(spec, 1.0, ln) * _SHRINK
     # fmax turns a nan budget (score within 2^-52 of q = 0 or 1) into ~0
     entry = np.where(covered, 0.0, np.fmax(budget, np.nextafter(0.0, 1.0)))
     exit_ = np.where(covered, np.fmax(budget, 0.0), NEVER)
