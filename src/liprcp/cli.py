@@ -14,13 +14,6 @@ loads (and, without cached bytecode, compiles) only the modules on its path:
 
 from __future__ import annotations
 
-import os
-
-if "LIPRCP_THREADS" in os.environ:
-    # cap BLAS worker parallelism before numpy is first imported
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["LIPRCP_THREADS"])
-
 import argparse
 import json
 import math

@@ -41,7 +41,9 @@ class LabeledDataset:
         ids = np.asarray(self.ids)
         if not (data.shape[0] == labels.shape[0] == ids.shape[0]):
             raise ValueError("inconsistent row counts")
-        if ids.size != np.unique(ids).size:
+        # sorted neighbours, not np.unique, which imports numpy.ma
+        ids_sorted = np.sort(ids)
+        if np.any(ids_sorted[1:] == ids_sorted[:-1]):
             raise ValueError("row ids must be unique")
         if self.kind not in (RAW_INPUTS, PRECOMPUTED_LOGITS):
             raise ValueError(f"unknown dataset kind {self.kind!r}")

@@ -395,7 +395,8 @@ def train_toy(
     After every step each orthogonal layer is re-projected onto the
     orthogonal manifold, so the returned model keeps lipschitz_product == 1
     when the input model was all-orthogonal. A loss or an update that is not
-    finite raises TrainingDivergedError.
+    finite, or a layer that Bjorck iteration cannot project back, raises
+    TrainingDivergedError.
     """
     x = np.asarray(inputs, dtype=float)
     ys = np.asarray(labels)
@@ -421,7 +422,11 @@ def train_toy(
             params = [(w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(trace.params, grads)]
         if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in params):
             raise TrainingDivergedError(f"update diverged at lr={lr}")
-        trace.params = [(bjorck_project(w) if o else w, b) for (w, b), o in zip(params, ortho)]
+        for i, ((w, b), o) in enumerate(zip(params, ortho)):
+            try:
+                trace.params[i] = (bjorck_project(w) if o else w, b)
+            except ValueError as exc:
+                raise TrainingDivergedError(f"{exc} in layer {i} at lr={lr}") from exc
     layers = [
         AffineLayer(weight=w, bias=b, orthogonal=o)
         for (w, b), o in zip(trace.params, ortho)

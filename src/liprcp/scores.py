@@ -204,8 +204,14 @@ def score(spec: ScoreSpec, logits: np.ndarray, y) -> float | np.ndarray:
     Only label y's margin is computed, so a batch costs O(n) beyond the
     logits: none for sigmoid, whose margins are the logits, and one (n, c)
     array of exponentials for softmax. Equal, bit for bit, to
-    ``score_all(spec, logits)[rows, y]``.
+    ``score_all(spec, logits)[rows, y]``. A label outside [0, c) raises
+    ValueError.
     """
+    c = np.shape(logits)[-1]
+    ys = np.asarray(y)
+    outside = ys.astype(np.uint64) >= c  # one comparison: negatives wrap above c
+    if outside.any():
+        raise ValueError(f"label {ys[outside].flat[0]} names no class of {c}")
     return _scores(spec, logits, y=y)
 
 

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -680,7 +681,8 @@ class TestBadValues:
 
     @pytest.mark.parametrize("lr", ["1e20", "1e200"])
     def test_diverging_training_is_one_json_error(self, workspace, capsys, lr):
-        # 1e200 overflows the update; 1e20 leaves Bjorck iteration too far to go
+        # both rates leave Bjorck iteration too far to go; the error names
+        # the layer it stalled in and the rate
         out = workspace["tmp"] / "out" / "model.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -689,7 +691,10 @@ class TestBadValues:
                  "--lr", lr, "--epochs", "5"], capsys
             )
         assert (code, stdout) == (1, "")
-        assert list(json.loads(stderr)) == ["error"]
+        error = json.loads(stderr)
+        assert list(error) == ["error"]
+        assert re.fullmatch(r"Bjorck projection stalled at residual \S+ in layer 1 "
+                            + re.escape(f"at lr={float(lr)}"), error["error"])
         assert not out.exists()
 
     def test_band_rejects_delta_outside_the_unit_interval(self):
@@ -946,7 +951,7 @@ for argv in commands:
     current[0] = argv[0]
     refs.clear()
     assert cli.main(argv) == 0, argv
-    loaded.append([argv[0], scipy_loaded()])
+    loaded.append([argv[0], scipy_loaded(), "numpy.ma" in sys.modules])
 print(json.dumps({"commands": loaded, "attack_calls": attack_calls,
                   "alive_at_band": alive_at_band}))
 """
@@ -961,10 +966,11 @@ def test_scipy_loads_only_for_the_band(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    # numpy.ma (which np.unique imports) loads with scipy, not before it
     assert loaded["commands"] == [
-        ["synth", False], ["train", False], ["calibrate", False],
-        ["predict", False], ["robust-predict", False], ["poison-certify", False],
-        ["attack-eval", True], ["audit", True],
+        ["synth", False, False], ["train", False, False], ["calibrate", False, False],
+        ["predict", False, False], ["robust-predict", False, False],
+        ["poison-certify", False, False], ["attack-eval", True, True], ["audit", True, True],
     ]
     # attack-eval runs every attack before its band imports scipy, whose
     # import then reuses the heap PGD freed instead of growing the peak
@@ -1105,6 +1111,69 @@ def test_each_command_loads_only_its_own_modules(workspace, capsys):
         assert ("poison" in modules) == (command == "poison-certify"), case
         assert ("robust" in modules) == (command in ("calibrate", "robust-predict")), case
     assert {case: sorted(m) for case, m in observed.items()} == _COMMAND_MODULES
+
+
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+_BLAS_PIN_PROBE = """
+import importlib, json, os, sys
+
+seen = []
+
+class NumpyImportWatch:
+    # records the BLAS thread variables as numpy is first imported
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({v: os.environ.get(v) for v in sys.argv[2:]})
+        return None
+
+sys.meta_path.insert(0, NumpyImportWatch())
+importlib.import_module(sys.argv[1])
+print(json.dumps(seen))
+"""
+
+
+def _blas_env(**preset) -> dict:
+    # the three BLAS variables unset; LIPRCP_THREADS is no setting of liprcp's
+    env = _probe_env()
+    for var in _BLAS_VARS:
+        env.pop(var, None)
+    env["LIPRCP_THREADS"] = "2"
+    env.update(preset)
+    return env
+
+
+@pytest.mark.parametrize("entry", ["liprcp.cli", "liprcp.attack"])
+def test_blas_is_pinned_to_one_thread_before_numpy_loads(entry):
+    # the console script imports liprcp.cli first, perfbench/traced.py
+    # liprcp.attack; an OPENBLAS_NUM_THREADS the caller set is kept
+    for preset, expected in [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")]:
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_PIN_PROBE, entry, *_BLAS_VARS],
+            env=_blas_env(**preset), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [
+            {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": expected, "MKL_NUM_THREADS": "1"}
+        ]
+
+
+def test_train_writes_the_bytes_of_one_blas_thread(tmp_path, capsys):
+    # on a machine with two or more CPUs, a second OpenBLAS thread splits the
+    # products differently and moves the trained weights' last bits
+    data = tmp_path / "data.csv"
+    assert cli.main(["synth", "--out", str(data), "--n", "2000", "--d", "32",
+                     "--seed", "1"]) == 0
+    capsys.readouterr()
+    models = [tmp_path / "unset.json", tmp_path / "one_thread.json"]
+    for model, preset in zip(models, [{}, {"OPENBLAS_NUM_THREADS": "1"}]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "liprcp.cli", "train", "--data", str(data),
+             "--out", str(model), "--epochs", "10"],
+            env=_blas_env(**preset), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert models[0].read_bytes() == models[1].read_bytes()
 
 
 def test_every_package_exception_is_a_value_error():

@@ -124,6 +124,16 @@ class TestTrueLabelScore:
         # their temporaries took 4.5 times the logits
         assert peak < 2 * logits.nbytes
 
+    @pytest.mark.parametrize("spec", [SIGMOID, SOFTMAX], ids=["sigmoid", "softmax"])
+    @pytest.mark.parametrize("y, bad", [(-1, -1), (3, 3), ([0, -3], -3), ([2, 3], 3)])
+    def test_label_that_names_no_class_is_rejected(self, spec, y, bad):
+        # a negative label used to index from the end: -1 read class 2's score
+        logits = np.array([1.0, 0.0, -1.0])
+        if np.ndim(y):
+            logits, y = np.tile(logits, (len(y), 1)), np.array(y)
+        with pytest.raises(ValueError, match=f"^label {bad} names no class of 3$"):
+            score(spec, logits, y)
+
 
 class TestGlobalBound:
     def test_arithmetic(self):
