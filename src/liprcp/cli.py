@@ -287,9 +287,10 @@ def cmd_robust_predict(opts: dict) -> dict:
 
 def _band(opts: dict, record, eval_scores) -> audit.CertifiedBand:
     """The certified band of `record` from the true-label scores of the
-    evaluation rows (audit, attack-eval). Building it loads scipy, so callers
-    drop their logits, labels and datasets first: the import then holds only
-    these n scores besides its own."""
+    evaluation rows (audit, attack-eval). Its curves and inversion blocks
+    are allocated on top of whatever is alive, so callers drop their logits,
+    labels and datasets first: the band then holds only these n scores
+    besides its own arrays."""
     from . import audit
 
     crit = audit.critical_epsilons(record, eval_scores, opts["bound_method"])
@@ -315,7 +316,7 @@ def _band_blocks(band: audit.CertifiedBand):
         cut = min(a[i + size - 1] if i + size <= a.size else np.inf,
                   b[j + size - 1] if j + size <= b.size else np.inf)
         end_a, end_b = np.searchsorted(a, cut, "right"), np.searchsorted(b, cut, "right")
-        eps = np.unique(np.concatenate([head, a[i:end_a], b[j:end_b]]))
+        eps = audit.sorted_unique(np.sort(np.concatenate([head, a[i:end_a], b[j:end_b]])))
         yield np.stack([eps, band.lower(eps), band.covmin(eps), band.covmax(eps),
                         band.upper(eps)], 1)
         head, i, j = [], end_a, end_b
@@ -336,7 +337,7 @@ def cmd_audit(opts: dict) -> dict:
     logits, labels, ids, ln = _logits_and_labels(opts["data"], opts["model"])
     record = _load_record(opts, ln)
     eval_scores = scores.score(record.score_spec, logits, labels)
-    del logits, labels, ids  # only the scores are alive when the band loads scipy
+    del logits, labels, ids  # only the scores are alive while the band is built
     band = _band(opts, record, eval_scores)
     if opts["check"]:
         for table in _band_blocks(band):
@@ -388,7 +389,7 @@ def cmd_attack_eval(opts: dict) -> dict:
         )
         for eps in grid
     ]
-    # the band loads scipy, whose import then reuses the heap PGD freed
+    # the band is built after the attacks, so its arrays reuse the heap PGD freed
     eval_scores = scores.score(
         record.score_spec, lipnet.forward(model, eval_ds.data), eval_ds.labels
     )

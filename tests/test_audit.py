@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from liprcp.audit import (
     APPENDIX_CORRECTED,
+    INVERT_COUNTS,
     LEFT_CONTINUOUS,
     MAIN_TEXT_RAW,
     NEVER,
@@ -271,7 +272,78 @@ class TestCoverageCurves:
         assert covmin(grid)[-1] == 0.0
 
 
+def _exact_cdf(m, k, p):
+    """P(Bin(m, p) <= k) at 200 bits: the binomial sum from its shorter side,
+    each term from the last by their ratio. It converges at m = 20 000, where
+    mpmath's betainc does not."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.prec = 200
+    p = mp.mpf(p)
+    if k >= m or p == 0:
+        return mp.mpf(1)
+    if p == 1:
+        return mp.mpf(0)
+    q = 1 - p
+    if 2 * k < m:
+        term = total = q**m
+        for j in range(k):
+            term *= (m - j) * p / ((j + 1) * q)
+            total += term
+        return total
+    term = total = p**m
+    for j in range(m, k + 1, -1):  # P(X = j) for j = m, ..., k + 1
+        term *= j * q / ((m - j + 1) * p)
+        total += term
+    return 1 - total
+
+
+# p anywhere in (0, 1), and within 1e-9 .. 0.1 of either end
+_PROBABILITIES = st.one_of(
+    st.floats(1e-9, 1 - 1e-9),
+    st.floats(-9, -1).map(lambda e: 10.0**e),
+    st.floats(-9, -1).map(lambda e: 1 - 10.0**e),
+)
+
+
 class TestBinomialTail:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.sampled_from([2, 3, 10, 100, 1000, 5000, 20_000]),
+        p=_PROBABILITIES,
+        z=st.floats(-8, 8),
+    )
+    def test_cdf_matches_the_exact_sum(self, m, p, z):
+        # k within 8 standard deviations of mp: both continued fractions,
+        # I_q(m - k, k + 1) above p = (k + 1) / (m + 1) and I_p below
+        k = int(np.clip(np.rint(m * p + z * np.sqrt(m * p * (1 - p))), 0, m - 1))
+        assert binomial_cdf(m, p, k) == pytest.approx(float(_exact_cdf(m, k, p)), rel=1e-12)
+
+    @staticmethod
+    def _assert_bound_above_the_root(m, frac, delta):
+        # the band's own risk; covmin_minus is 1 - covmax_plus of a miss
+        # count, so this covers both curves
+        count = min(int(frac * m), m - 1)
+        d = delta / (2 * m - 2)
+        assert _exact_cdf(m, count, covmax_plus(m, count, d)) <= d
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(2, 1000),
+        frac=st.floats(0, 1),
+        delta=st.sampled_from([0.001, 0.05, 0.1]),
+    )
+    def test_upper_bound_lies_above_the_exact_root(self, m, frac, delta):
+        self._assert_bound_above_the_root(m, frac, delta)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        m=st.sampled_from([5000, 20_000]),
+        frac=st.floats(0, 1),
+        delta=st.sampled_from([0.001, 0.05, 0.1]),
+    )
+    def test_upper_bound_lies_above_the_exact_root_at_large_m(self, m, frac, delta):
+        self._assert_bound_above_the_root(m, frac, delta)
+
     def test_cdf_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.prec = 200
@@ -429,8 +501,8 @@ class TestClopperPearsonArrays:
 
         from liprcp import audit, cli, datasets
 
-        exact = audit.betaincinv
-        monkeypatch.setattr(audit, "betaincinv", lambda a, b, y: exact(a, b, y) + 1e-6)
+        exact = audit._clopper_pearson_root
+        monkeypatch.setattr(audit, "_clopper_pearson_root", lambda m, c, d: exact(m, c, d) + 1e-6)
         rec = make_record(q=0.6)
         crit = critical_epsilons(rec, np.random.default_rng(27).uniform(size=40))
         with pytest.raises(audit.BandInversionError):
@@ -468,7 +540,11 @@ class TestClopperPearsonArrays:
             np.random.default_rng(29).uniform(size=9000), q
         )
 
-    @pytest.mark.parametrize("m", [2, 511, 512, 513, 2047, 2048, 2049, 5000])
+    @pytest.mark.parametrize(
+        "m",
+        [2, 511, 512, 513, 2047, 2048, 2049, 5000,
+         INVERT_COUNTS - 1, INVERT_COUNTS, INVERT_COUNTS + 1, 2 * INVERT_COUNTS + 1],
+    )
     def test_blocked_inversion_equals_one_call(self, m):
         from liprcp import audit
 
@@ -492,9 +568,10 @@ class TestClopperPearsonArrays:
     def test_blocked_inversion_names_the_first_bad_count(self, monkeypatch):
         from liprcp import audit
 
-        exact = audit.betaincinv
-        # counts 2100 and 4500, in two later blocks, get a wrong inverse
-        monkeypatch.setattr(audit, "betaincinv", lambda a, b, y: np.where(
-            np.isin(a, [2101, 4501]), exact(a, b, y) + 1e-6, exact(a, b, y)))
+        exact = audit._clopper_pearson_root
+        # counts 2100 and 4500, in two later blocks, get a wrong root
+        monkeypatch.setattr(audit, "INVERT_COUNTS", 1024)
+        monkeypatch.setattr(audit, "_clopper_pearson_root", lambda m, c, d: np.where(
+            np.isin(c, [2100, 4500]), exact(m, c, d) + 1e-6, exact(m, c, d)))
         with pytest.raises(audit.BandInversionError, match=r"m=5000, count=2100,"):
             audit._in_blocks(covmax_plus, 5000, np.arange(5001), 1e-5)
