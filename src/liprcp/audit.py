@@ -16,7 +16,13 @@ of the incomplete beta function, and the root by Newton's method in logit p.
 The root is within a few units in the last place of the exact one, on
 either side, so each bound is raised by `_RAISE_ULPS` of them to lie above
 it. Every value is checked against the bracket
-F(p - 1e-8) > delta > F(p + 1e-8) before it is returned.
+F(p - 1e-8) > delta > F(p + 1e-8) before it is returned. The lower bound
+1 - p and the +-1/m slack are each stepped one unit in the last place
+outward past their rounding, so no band value claims more than its data.
+
+`certified_band` inverts each curve in one call of `INVERT_COUNTS`-count
+blocks and keeps its grid, 0 and both curves' breakpoints, which
+`CertifiedBand.table` tabulates `BLOCK_ROWS` rows at a time.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ _RAISE_ULPS = 8
 # stay small whatever m is. On 20 000 scores, writing the band peaks at
 # 0.4 MB with 512 rows against 1.4 MB with 2 048, and takes a few ms longer.
 BLOCK_ROWS = 512
-# counts inverted per covmax_plus call: enough that each numpy call of the
+# counts covmax_plus inverts per block: enough that each numpy call of the
 # Newton and continued-fraction loops amortizes its overhead. Inverting the
 # 20 000 counts of m = 20 000 at the band's delta' took 320 ms in blocks of
 # 512, 144 ms in 2 048, 128 ms in 4 096 and 126 ms in 8 192, whose
@@ -181,11 +187,7 @@ def coverage_curves(crit: CriticalEpsilons) -> tuple[StepCurve, StepCurve]:
     entry = np.sort(crit.entry)
     bp_max = sorted_unique(entry[entry > 0])
     counts_max = np.searchsorted(entry, np.concatenate([[0.0], bp_max]), side="right")
-    covmax = StepCurve(
-        breakpoints=bp_max,
-        values=counts_max / m,
-        continuity=RIGHT_CONTINUOUS,
-    )
+    covmax = StepCurve(bp_max, counts_max / m, RIGHT_CONTINUOUS)
     finite_exit = np.sort(crit.exit[np.isfinite(crit.exit)])
     # a sample is a member at eps iff its exit threshold >= eps; the curve
     # drops just AFTER each exit value (left-continuity), and 0 itself is a
@@ -197,12 +199,7 @@ def coverage_curves(crit: CriticalEpsilons) -> tuple[StepCurve, StepCurve]:
             finite_exit.size - np.searchsorted(finite_exit, bp_min, side="right"),
         ]
     )
-    covmin = StepCurve(
-        breakpoints=bp_min,
-        values=counts_min / m,
-        continuity=LEFT_CONTINUOUS,
-    )
-    return covmax, covmin
+    return covmax, StepCurve(bp_min, counts_min / m, LEFT_CONTINUOUS)
 
 
 # The binomial tail, in numpy alone. The pmf is Loader's (2000) saddle-point
@@ -411,52 +408,48 @@ def covmax_plus(m: int, count, delta: float):
     The root of F_{m,p}(count) = delta, raised by `_RAISE_ULPS` units in the
     last place so that it lies above the exact root, and clipped at 1;
     count == m gives exactly 1.0. An array of counts gives an array, a
-    scalar count a float. Every value with count < m must satisfy
-    F(p - 1e-8) > delta > F(p + 1e-8), checked with two array calls of
-    ``binomial_cdf``; a miss raises ``BandInversionError``.
+    scalar count a float. The counts below m are inverted `INVERT_COUNTS`
+    at a time; each value depends on its own count alone, so the blocks do
+    not change it. Every value must satisfy F(p - 1e-8) > delta >
+    F(p + 1e-8), checked with two array calls of ``binomial_cdf`` per
+    block; the first miss raises ``BandInversionError``.
     """
     count = np.asarray(count)
     if np.any((count < 0) | (count > m)):
         raise ValueError(f"count outside [0, {m}]")
     check_delta(delta)
-    full = count == m
-    k = count[~full]
-    p_k = _clopper_pearson_root(m, k, delta)
-    p_k = np.minimum(1.0, p_k + _RAISE_ULPS * np.spacing(p_k))
     p = np.ones(count.shape)
-    p[~full] = p_k
-    below = binomial_cdf(m, np.clip(p_k - _BRACKET, 0.0, 1.0), k)
-    above = binomial_cdf(m, np.clip(p_k + _BRACKET, 0.0, 1.0), k)
-    bad = ~((below > delta) & (above < delta))
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise BandInversionError(
-            f"Clopper-Pearson bound {p_k[j]!r} for m={m}, count={int(k[j])}, "
-            f"delta={delta!r} fails its +-{_BRACKET} bracket check"
-        )
+    todo = np.flatnonzero(count < m)
+    for start in range(0, todo.size, INVERT_COUNTS):
+        idx = todo[start : start + INVERT_COUNTS]
+        k = count.flat[idx]
+        p_k = _clopper_pearson_root(m, k, delta)
+        p.flat[idx] = p_k = np.minimum(1.0, p_k + _RAISE_ULPS * np.spacing(p_k))
+        below = binomial_cdf(m, np.clip(p_k - _BRACKET, 0.0, 1.0), k)
+        above = binomial_cdf(m, np.clip(p_k + _BRACKET, 0.0, 1.0), k)
+        bad = ~((below > delta) & (above < delta))
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise BandInversionError(
+                f"Clopper-Pearson bound {p_k[j]!r} for m={m}, count={int(k[j])}, "
+                f"delta={delta!r} fails its +-{_BRACKET} bracket check"
+            )
     return p if p.ndim else float(p)
 
 
 def covmin_minus(m: int, miss_count, delta: float):
-    """Lower confidence bound: 1 - covmax_plus applied to the miss count."""
-    return 1.0 - covmax_plus(m, miss_count, delta)
-
-
-def _in_blocks(bound, m: int, counts: np.ndarray, delta: float) -> np.ndarray:
-    """``bound(m, counts, delta)`` for an array of counts, `INVERT_COUNTS`
-    counts per call. Each value depends on its own count alone, so the
-    result is that of one call, and the first block that fails its bracket
-    check names the first bad count."""
-    out = np.empty(counts.size)
-    for start in range(0, counts.size, INVERT_COUNTS):
-        out[start : start + INVERT_COUNTS] = bound(m, counts[start : start + INVERT_COUNTS], delta)
-    return out
+    """Lower confidence bound: 1 - covmax_plus applied to the miss count,
+    stepped one unit in the last place down past the rounding of that
+    difference. An array of counts gives an array, a scalar count a float."""
+    lower = np.nextafter(1.0 - covmax_plus(m, miss_count, delta), 0.0)
+    return lower if lower.ndim else float(lower)
 
 
 @dataclass(frozen=True)
 class CertifiedBand:
     """Simultaneous (over all epsilon) bracket of coverage under attack,
-    with the empirical curves it brackets."""
+    with the empirical curves it brackets and the grid it is tabulated on:
+    0 and every breakpoint of either curve, in increasing order."""
 
     m: int
     delta: float
@@ -466,6 +459,16 @@ class CertifiedBand:
     correction_mode: str
     covmax: StepCurve
     covmin: StepCurve
+    grid: np.ndarray
+
+    def table(self):
+        """The band's (epsilon, covmin_minus, covmin_emp, covmax_emp,
+        covmax_plus) rows on its grid, as arrays of `BLOCK_ROWS` rows at
+        most, so that only one block's temporaries are alive at a time."""
+        for start in range(0, self.grid.size, BLOCK_ROWS):
+            eps = self.grid[start : start + BLOCK_ROWS]
+            yield np.stack([eps, self.lower(eps), self.covmin(eps), self.covmax(eps),
+                            self.upper(eps)], 1)
 
     def sidecar(self, extra: dict | None = None) -> str:
         doc = {
@@ -490,7 +493,8 @@ def certified_band(
     bounds and the per-curve union over achievable counts. The corrected
     mode adds the +-1/m slack the uniform concentration proofs carry; the
     raw mode reproduces the uncorrected main statement for comparison.
-    Each curve's counts are inverted `INVERT_COUNTS` at a time.
+    Each curve's counts are inverted in one call. Every sample is a
+    breakpoint of at most one curve, so the grid holds at most m + 1 values.
     """
     m = crit.m
     check_delta(delta)
@@ -500,13 +504,15 @@ def certified_band(
         raise ValueError(f"unknown correction mode {correction_mode!r}")
     delta_prime = delta / (2 * m - 2)
     covmax, covmin = coverage_curves(crit)
-    slack = 1.0 / m if correction_mode == APPENDIX_CORRECTED else 0.0
+    slack = math.nextafter(1.0 / m, 1.0) if correction_mode == APPENDIX_CORRECTED else 0.0
 
-    # each curve's inversions, on the counts behind its steps
+    # each curve's inversions, on the counts behind its steps; the slack is
+    # rounded up, and each sum stepped one ulp outward past its rounding
     counts = np.rint(covmax.values * m).astype(int)
-    upper_vals = np.minimum(1.0, _in_blocks(covmax_plus, m, counts, delta_prime) + slack)
-    misses = np.rint((1.0 - covmin.values) * m).astype(int)
-    lower_vals = np.maximum(0.0, _in_blocks(covmin_minus, m, misses, delta_prime) - slack)
+    upper_vals = np.minimum(1.0, np.nextafter(covmax_plus(m, counts, delta_prime) + slack, np.inf))
+    miss = np.rint((1.0 - covmin.values) * m).astype(int)
+    lower_vals = np.maximum(0.0, np.nextafter(covmin_minus(m, miss, delta_prime) - slack, -np.inf))
+    grid = np.sort(np.concatenate([[0.0], covmax.breakpoints, covmin.breakpoints]))
 
     return CertifiedBand(
         m=m,
@@ -517,4 +523,5 @@ def certified_band(
         correction_mode=correction_mode,
         covmax=covmax,
         covmin=covmin,
+        grid=sorted_unique(grid),
     )

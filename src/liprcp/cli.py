@@ -250,18 +250,24 @@ def _load_record(opts: dict, ln: float) -> conformal.CalibrationRecord:
     return record if opts["model"] is None else replace(record, lipschitz_product=ln)
 
 
-def cmd_predict(opts: dict) -> dict:
+def _write_sets(opts: dict, ids, labels, membership) -> dict:
+    """Write the sets CSV; return the summary predict and robust-predict share."""
     from . import conformal
 
-    logits, labels, ids, ln = _logits_and_labels(opts["data"], opts["model"])
-    record = _load_record(opts, ln)
-    membership = conformal.vanilla_membership(record, logits)
     _write(Path(opts["out"]), _sets_csv(ids, membership))
     return {
         "path": opts["out"],
         "coverage": conformal.coverage_from_membership(membership, labels),
         "mean_set_size": float(membership.sum(axis=1).mean()),
     }
+
+
+def cmd_predict(opts: dict) -> dict:
+    from . import conformal
+
+    logits, labels, ids, ln = _logits_and_labels(opts["data"], opts["model"])
+    record = _load_record(opts, ln)
+    return _write_sets(opts, ids, labels, conformal.vanilla_membership(record, logits))
 
 
 def cmd_robust_predict(opts: dict) -> dict:
@@ -276,57 +282,26 @@ def cmd_robust_predict(opts: dict) -> dict:
         restrict = robust.restrictive_membership(record, logits, epsilon, method)
         if not (np.all(vanilla <= membership) and np.all(restrict <= vanilla)):
             raise CheckError("invariant violated: set nesting")
-    _write(Path(opts["out"]), _sets_csv(ids, membership))
-    return {
-        "path": opts["out"],
-        "epsilon": epsilon,
-        "coverage": conformal.coverage_from_membership(membership, labels),
-        "mean_set_size": float(membership.sum(axis=1).mean()),
-    }
+    return {**_write_sets(opts, ids, labels, membership), "epsilon": epsilon}
 
 
 def _band(opts: dict, record, eval_scores) -> audit.CertifiedBand:
     """The certified band of `record` from the true-label scores of the
-    evaluation rows (audit, attack-eval). Its curves and inversion blocks
-    are allocated on top of whatever is alive, so callers drop their logits,
-    labels and datasets first: the band then holds only these n scores
-    besides its own arrays."""
+    evaluation rows (audit, attack-eval). Its curves, its grid and its
+    inversion blocks are allocated on top of whatever is alive, so callers
+    drop their logits, labels and datasets first: the band then holds only
+    these n scores besides its own arrays."""
     from . import audit
 
     crit = audit.critical_epsilons(record, eval_scores, opts["bound_method"])
     return audit.certified_band(crit, opts["delta"], opts["correction_mode"])
 
 
-def _band_blocks(band: audit.CertifiedBand):
-    """The band's table in blocks of (epsilon, covmin_minus, covmin_emp,
-    covmax_emp, covmax_plus) rows, at 0 and at every breakpoint of either
-    curve, in increasing epsilon.
-
-    The two curves' sorted breakpoints are merged a block at a time: a block
-    ends at the lower of each curve's next `audit.BLOCK_ROWS`-th breakpoint,
-    so it has at most twice that many rows (the first one also has 0), and
-    no grid of all rows is built.
-    """
-    from . import audit
-
-    a, b = band.covmax.breakpoints, band.covmin.breakpoints
-    size, i, j = audit.BLOCK_ROWS, 0, 0
-    head = [0.0]  # the grid's first point, in the first block only
-    while head or i < a.size or j < b.size:
-        cut = min(a[i + size - 1] if i + size <= a.size else np.inf,
-                  b[j + size - 1] if j + size <= b.size else np.inf)
-        end_a, end_b = np.searchsorted(a, cut, "right"), np.searchsorted(b, cut, "right")
-        eps = audit.sorted_unique(np.sort(np.concatenate([head, a[i:end_a], b[j:end_b]])))
-        yield np.stack([eps, band.lower(eps), band.covmin(eps), band.covmax(eps),
-                        band.upper(eps)], 1)
-        head, i, j = [], end_a, end_b
-
-
 def _band_rows(band: audit.CertifiedBand):
-    """The band CSV as text chunks, one per block of `_band_blocks`, so that
+    """The band CSV as text chunks, one per block of `band.table()`, so that
     only one block's numbers and strings are alive at a time."""
     yield "epsilon,covmin_minus,covmin_emp,covmax_emp,covmax_plus\n"
-    for table in _band_blocks(band):
+    for table in band.table():
         # %r of a Python float is its repr, the lossless form
         yield ("%r,%r,%r,%r,%r\n" * len(table)) % tuple(table.ravel().tolist())
 
@@ -340,7 +315,7 @@ def cmd_audit(opts: dict) -> dict:
     del logits, labels, ids  # only the scores are alive while the band is built
     band = _band(opts, record, eval_scores)
     if opts["check"]:
-        for table in _band_blocks(band):
+        for table in band.table():
             _, lower, covmin, covmax, upper = table.T
             if not (np.all(lower <= upper) and np.all(covmin <= covmax + 1e-12)):
                 raise CheckError("invariant violated: band sandwich")
@@ -507,7 +482,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{args['config']}: {name} does not read {key!r}")
         # defaults, then the config file, then flags
         summary = command.fn({**command.options, **cfg, **args})
-    except (ConfigError, datasets.CsvFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every package error is a ValueError
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     print(json.dumps(summary, sort_keys=True))

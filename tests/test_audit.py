@@ -545,23 +545,27 @@ class TestClopperPearsonArrays:
         [2, 511, 512, 513, 2047, 2048, 2049, 5000,
          INVERT_COUNTS - 1, INVERT_COUNTS, INVERT_COUNTS + 1, 2 * INVERT_COUNTS + 1],
     )
-    def test_blocked_inversion_equals_one_call(self, m):
+    def test_blocked_inversion_equals_one_call(self, m, monkeypatch):
         from liprcp import audit
 
         rng = np.random.default_rng(30)
         counts = np.sort(rng.integers(0, m + 1, size=m))
         delta = 0.1 / (2 * m - 2)
         for bound in (covmax_plus, covmin_minus):
-            got = audit._in_blocks(bound, m, counts, delta)
-            assert got.tobytes() == bound(m, counts, delta).tobytes()
+            monkeypatch.setattr(audit, "INVERT_COUNTS", m + 1)
+            whole = bound(m, counts, delta).tobytes()
+            for size in (511, 2048, INVERT_COUNTS):
+                monkeypatch.setattr(audit, "INVERT_COUNTS", size)
+                assert bound(m, counts, delta).tobytes() == whole
         # the band's own steps, when they span several blocks
         crit = critical_epsilons(make_record(q=0.6), rng.uniform(size=m), TIGHT_MONOTONE)
         band = certified_band(crit, 0.1)
         covmax, covmin = coverage_curves(crit)
-        dp, slack = band.delta_prime, 1.0 / m
-        upper = np.minimum(1.0, covmax_plus(m, np.rint(covmax.values * m).astype(int), dp) + slack)
+        dp, slack = band.delta_prime, np.nextafter(1.0 / m, 1.0)
+        upper = covmax_plus(m, np.rint(covmax.values * m).astype(int), dp) + slack
+        upper = np.minimum(1.0, np.nextafter(upper, np.inf))
         misses = np.rint((1.0 - covmin.values) * m).astype(int)
-        lower = np.maximum(0.0, covmin_minus(m, misses, dp) - slack)
+        lower = np.maximum(0.0, np.nextafter(covmin_minus(m, misses, dp) - slack, -np.inf))
         assert band.upper.values.tobytes() == upper.tobytes()
         assert band.lower.values.tobytes() == lower.tobytes()
 
@@ -573,5 +577,70 @@ class TestClopperPearsonArrays:
         monkeypatch.setattr(audit, "INVERT_COUNTS", 1024)
         monkeypatch.setattr(audit, "_clopper_pearson_root", lambda m, c, d: np.where(
             np.isin(c, [2100, 4500]), exact(m, c, d) + 1e-6, exact(m, c, d)))
-        with pytest.raises(audit.BandInversionError, match=r"m=5000, count=2100,"):
-            audit._in_blocks(covmax_plus, 5000, np.arange(5001), 1e-5)
+        for bound in (covmax_plus, covmin_minus):
+            with pytest.raises(audit.BandInversionError, match=r"m=5000, count=2100,"):
+                bound(5000, np.arange(5001), 1e-5)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_band_rows_match_per_epsilon_loop_in_small_blocks(self, rows, monkeypatch):
+        from liprcp import audit
+
+        monkeypatch.setattr(audit, "BLOCK_ROWS", rows)
+        s = np.round(np.random.default_rng(31).uniform(size=120), 2)
+        _assert_band_rows_match_per_epsilon_loop(s, q=0.6)
+
+    @pytest.mark.parametrize("q", [0.6, 0.97])
+    def test_table_blocks_hold_at_most_block_rows(self, q):
+        from liprcp import audit
+
+        m = 3 * audit.BLOCK_ROWS + 5
+        s = np.random.default_rng(32).uniform(size=m)
+        band = certified_band(critical_epsilons(make_record(q=q), s, TIGHT_MONOTONE), 0.1)
+        blocks = list(band.table())
+        assert all(1 <= len(b) <= audit.BLOCK_ROWS for b in blocks)
+        # together the blocks are the grid: 0, then both curves' breakpoints
+        eps = np.concatenate([b[:, 0] for b in blocks])
+        assert eps.tobytes() == band.grid.tobytes()
+        assert eps[0] == 0.0 and np.all(np.diff(eps) > 0) and eps.size <= m + 1
+
+
+def _exact_root(m, k, delta):
+    """A bracket (lo, hi), at most 2^-100 wide, of the root p of
+    P(Bin(m, p) <= k) = delta: bisection on the 200-bit sum, from just below
+    the upper bound that `covmax_plus` gives."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.prec = 200
+    hi = mp.mpf(covmax_plus(m, k, delta))
+    lo = hi - mp.mpf(2) ** -40
+    assert _exact_cdf(m, k, lo) > delta > _exact_cdf(m, k, hi)
+    while hi - lo > mp.mpf(2) ** -100:
+        mid = (lo + hi) / 2
+        if _exact_cdf(m, k, mid) > delta:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+class TestOutwardRounding:
+    def test_band_lies_outside_the_exact_bounds(self):
+        mp = pytest.importorskip("mpmath")
+        # 1 - p rounded to nearest exceeded 1 - the root at miss counts 2, 7
+        # and 8; the bracket's upper end makes the check hold for the root
+        delta = 0.1 / 1998
+        for k in range(1, 40):
+            assert mp.mpf(covmin_minus(1000, k, delta)) <= 1 - _exact_root(1000, k, delta)[1], k
+        for m in (37, 200):
+            rng = np.random.default_rng(m)
+            crit = critical_epsilons(make_record(q=0.6), rng.uniform(size=m), TIGHT_MONOTONE)
+            band = certified_band(crit, 0.1)
+            covmax, covmin = coverage_curves(crit)
+            dp, slack = band.delta_prime, mp.mpf(1) / m
+            # F is decreasing in p, so a value v lies on the safe side of
+            # root + 1/m (or 1 - root - 1/m) iff F at v - 1/m (1 - 1/m - v)
+            # is at most delta': one exact sum per value, not a bisection
+            for v, k in zip(band.upper.values, np.rint(covmax.values * m).astype(int)):
+                assert v == 1.0 or _exact_cdf(m, int(k), mp.mpf(v) - slack) <= dp, (m, k)
+            misses = np.rint((1.0 - covmin.values) * m).astype(int)
+            for v, k in zip(band.lower.values, misses):
+                assert v == 0.0 or _exact_cdf(m, int(k), 1 - slack - mp.mpf(v)) <= dp, (m, k)

@@ -112,3 +112,18 @@ class TestSummary:
         assert row["wall_s"]["change_lower_in"] == "0/10"
         assert row["wall_s"]["gain"] is False
         assert row["digests_differ"] == {}
+
+
+class TestSrcLines:
+    def test_counts_the_package_modules_of_each_tree(self, bench_record, tmp_path):
+        for name, texts in (("change", ["a\nb\n", "c\n"]), ("parent", ["a\nb\nc\n", "d\ne"])):
+            pkg = tmp_path / name / "src" / "liprcp"
+            (pkg / "sub").mkdir(parents=True)
+            for i, text in enumerate(texts):
+                (pkg / f"m{i}.py").write_text(text)
+            # neither another file type nor a subpackage counts
+            (pkg / "notes.txt").write_text("x\n" * 5)
+            (pkg / "sub" / "deep.py").write_text("x\n" * 7)
+        # as wc -l counts: newlines, so an unterminated last line adds none
+        assert bench_record.src_lines(tmp_path / "change") == 3
+        assert bench_record.src_lines(tmp_path / "parent") == 4

@@ -1268,7 +1268,7 @@ class TestWriters:
         finally:
             tracemalloc.stop()
         rows = len(out.read_text().splitlines()) - 1
-        block = 2 * audit.BLOCK_ROWS + 1  # the most rows one block can hold
+        block = audit.BLOCK_ROWS  # the most rows one block of band.table() holds
         assert rows > 10 * block
         # per block row: its five floats as Python floats in a list and a
         # tuple (200 bytes), their text (under 100) and the float table

@@ -10,6 +10,8 @@ For each seed and workload it runs ``perfbench/run.py`` once in this checkout
 and, with ``--parent``, once in the parent's checkout; the side that runs
 first alternates from pair to pair. Each run's two output lines, the details
 and the result, are saved under "runs"; runs already in the file are kept.
+"src_lines" gives each side's line count of ``src/liprcp/*.py``, as
+``cat src/liprcp/*.py | wc -l`` prints it.
 "summary" gives, per workload and side, the median and quartiles of every
 untraced end-to-end metric, and how many pairs the change read lower; its
 "digests_differ" names each artifact whose sha256 differs between the two
@@ -48,6 +50,11 @@ def bench(repo: Path, workload: str, seed: int, seconds: float, trace: int) -> d
 
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def src_lines(repo: Path) -> int:
+    """The line count of the package's modules in the checkout `repo`."""
+    return sum(f.read_bytes().count(b"\n") for f in (repo / "src" / "liprcp").glob("*.py"))
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -131,12 +138,14 @@ def main() -> int:
     args = parser.parse_args()
     sides = [("change", Path.cwd())] + ([("parent", args.parent)] if args.parent else [])
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
+    lines = {side: src_lines(repo) for side, repo in sides}
     for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
         for workload in args.workloads.split(","):
             for side, repo in sides[::-1] if i % 2 else sides:
                 run = bench(repo, workload, seed, args.seconds, args.trace)
                 runs.append({"side": side, **run})
-                args.out.write_text(json.dumps({"runs": runs, "summary": summary(runs)}, indent=1))
+                doc = {"runs": runs, "src_lines": lines, "summary": summary(runs)}
+                args.out.write_text(json.dumps(doc, indent=1))
     return 0
 
 
