@@ -126,6 +126,19 @@ def _write(path: Path, text) -> None:
         fh.writelines([text] if isinstance(text, str) else text)
 
 
+def _read_json(path: str, parse: Callable[[str], object]):
+    """`parse` applied to the text of the JSON file `path` (--model, --record).
+
+    Text that is not JSON, or that nests deeper than the parser can
+    recurse, raises a ValueError that names the file.
+    """
+    text = Path(path).read_text()
+    try:
+        return parse(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: not a readable JSON document ({exc})") from exc
+
+
 def _check_rows(path: str, ds: datasets.LabeledDataset) -> None:
     """Reject a file with a header and no data rows."""
     if ds.n == 0:
@@ -157,7 +170,7 @@ def _logits_and_labels(data_path: str, model_path: str | None):
     if model_path is not None:
         from . import lipnet
 
-        model = lipnet.from_json(Path(model_path).read_text())
+        model = _read_json(model_path, lipnet.from_json)
     ln = 1.0 if model is None else model.lipschitz_product
     if ds.kind == datasets.PRECOMPUTED_LOGITS:
         _check_labels(data_path, ds.labels, ds.data.shape[1])
@@ -246,7 +259,7 @@ def _load_record(opts: dict, ln: float) -> conformal.CalibrationRecord:
     """The --record file; with --model it certifies with that model's product ln."""
     from . import conformal
 
-    record = conformal.CalibrationRecord.from_json(Path(opts["record"]).read_text())
+    record = _read_json(opts["record"], conformal.CalibrationRecord.from_json)
     return record if opts["model"] is None else replace(record, lipschitz_product=ln)
 
 
@@ -334,7 +347,7 @@ def cmd_audit(opts: dict) -> dict:
 def cmd_attack_eval(opts: dict) -> dict:
     from . import attack, audit, lipnet, scores
 
-    model = lipnet.from_json(Path(opts["model"]).read_text())
+    model = _read_json(opts["model"], lipnet.from_json)
     record = _load_record(opts, model.lipschitz_product)
     test = datasets.load_inputs_csv(opts["data"])
     _check_rows(opts["data"], test)
@@ -484,6 +497,9 @@ def main(argv=None) -> int:
         summary = command.fn({**command.options, **cfg, **args})
     except (ValueError, OSError) as exc:  # every package error is a ValueError
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input or option too large to hold
+        print(json.dumps({"error": f"out of memory: {exc}"}), file=sys.stderr)
         return 1
     print(json.dumps(summary, sort_keys=True))
     return 0

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scores import ScoreSpec, require_keys, score_all
+from .scores import ScoreSpec, json_number, require_keys, score_all
 
 
 class InvalidRiskError(ValueError):
@@ -48,18 +48,16 @@ class CalibrationRecord:
         """Parse a record; a malformed document raises ValueError."""
         keys = ("q_alpha", "alpha", "n_cal", "score_spec", "lipschitz_product",
                 "epsilon_calibrated")
-        doc = require_keys(json.loads(text), keys, "calibration record")
-        try:
-            record = CalibrationRecord(
-                q_alpha=float(doc["q_alpha"]),
-                alpha=float(doc["alpha"]),
-                n_cal=int(doc["n_cal"]),
-                score_spec=ScoreSpec.from_dict(doc["score_spec"]),
-                lipschitz_product=float(doc["lipschitz_product"]),
-                epsilon_calibrated=float(doc["epsilon_calibrated"]),
-            )
-        except TypeError as exc:  # a value of the wrong JSON type, e.g. null
-            raise ValueError(f"calibration record: {exc}") from exc
+        what = "calibration record"
+        doc = require_keys(json.loads(text), keys, what)
+        record = CalibrationRecord(
+            q_alpha=json_number(doc, "q_alpha", what),
+            alpha=json_number(doc, "alpha", what),
+            n_cal=json_number(doc, "n_cal", what, int),
+            score_spec=ScoreSpec.from_dict(doc["score_spec"]),
+            lipschitz_product=json_number(doc, "lipschitz_product", what),
+            epsilon_calibrated=json_number(doc, "epsilon_calibrated", what),
+        )
         # every certificate scales its budget by the product, so a product
         # that is not a positive finite number would silently invert them
         if not (0.0 < record.lipschitz_product < math.inf):

@@ -14,7 +14,7 @@ from .rng import substream
 RAW_INPUTS = "raw_inputs"
 PRECOMPUTED_LOGITS = "precomputed_logits"
 
-# CSV body lines parsed at a time: a load holds one block of text, not the file
+# CSV body lines read or written at a time: a load or save holds one block
 BLOCK_LINES = 2048
 
 
@@ -102,10 +102,10 @@ def save_csv(dataset: LabeledDataset, path) -> None:
     header = "id,label," + ",".join(f"{prefix}_{j}" for j in range(width))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        # tolist() gives Python floats, whose repr is the lossless one
-        rows = zip(dataset.ids.tolist(), dataset.labels.tolist(), dataset.data.tolist())
-        for rid, label, row in rows:
-            fh.write(f"{rid},{label},{','.join(map(repr, row))}\n")
+        columns = (dataset.ids, dataset.labels, dataset.data)
+        for k in range(0, dataset.n, BLOCK_LINES):  # tolist(): floats with a lossless repr
+            for rid, label, row in zip(*(a[k : k + BLOCK_LINES].tolist() for a in columns)):
+                fh.write(f"{rid},{label},{','.join(map(repr, row))}\n")
 
 
 def _load_csv(path, prefix: str, kind: str) -> LabeledDataset:

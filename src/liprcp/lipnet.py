@@ -91,8 +91,8 @@ def groupsort2(x: np.ndarray) -> np.ndarray:
 def _sort_pairs(z: np.ndarray, out: np.ndarray, swaps: np.ndarray | None = None) -> None:
     """Write groupsort2(z) into `out`; mark the pairs it swapped in `swaps`.
 
-    `swaps` (int64, one entry per pair) gets -1, all bits set, where the
-    pair was out of order and 0 elsewhere: ties and NaN keep the input order.
+    `swaps` (int8 in the trace, one entry per pair) gets -1, all bits set,
+    where the pair was out of order and 0 elsewhere: ties and NaN keep order.
     """
     npairs = z.shape[-1] // 2
     a = z[..., 0 : 2 * npairs : 2]
@@ -110,8 +110,8 @@ def _swap_pairs(v: np.ndarray, swaps: np.ndarray, scratch: np.ndarray) -> None:
     """Exchange, in place, the pairs of `v` that `swaps` marks with -1.
 
     Bit-exact for every value, NaN and signed zeros included: the XOR of a
-    pair's int64 views, masked by `swaps`, is XORed into both halves.
-    `scratch` is an int64 array of the shape of `swaps`.
+    pair's int64 views, masked by `swaps` (an int8 mask sign-extends), is
+    XORed into both halves. `scratch` is an int64 array of `swaps`' shape.
     """
     npairs = swaps.shape[-1]
     bits = v.view(np.int64)
@@ -248,11 +248,11 @@ class Trace:
     """Preallocated buffers for forward and backward passes through a model.
 
     Sized for `rows` rows of the model's layer stack. Each hidden layer
-    keeps its GroupSort2 outputs (the next layer's inputs) and its swap
-    masks; the pre-activations, the swap scratch and the backward deltas
-    share buffers across layers, since each is needed for one layer at a
-    time. A pass over m <= rows rows uses the leading m rows of every
-    buffer, so the arrays it returns are views that the next pass
+    keeps its GroupSort2 outputs (the next layer's inputs) and int8 swap
+    masks. The pre-activations share one buffer, whose int64 view is the
+    swap scratch; backward writes each hidden delta over the layer input it
+    has just used. A pass over m <= rows rows uses the leading m rows of
+    every buffer, so the arrays it returns are views that the next pass
     overwrites. The passes allocate no array with a row per input row.
     `Trace.forward` is the one forward pass of the package: inference
     (`forward`, block by block), training and the attack all run it.
@@ -263,16 +263,13 @@ class Trace:
 
     def __init__(self, model: LipschitzClassifier, rows: int):
         self.params = [(layer.weight, layer.bias) for layer in model.layers]
-        dims = [model.in_dim] + [layer.out_dim for layer in model.layers]
-        hidden = dims[1:-1]
+        hidden = [layer.out_dim for layer in model.layers[:-1]]
         self.post = [np.empty((rows, w)) for w in hidden]
-        self.swaps = [np.empty((rows, w // 2), dtype=np.int64) for w in hidden]
-        self.logits = np.empty((rows, dims[-1]))
-        widest = max(hidden, default=0)
-        self._pre = np.empty(rows * widest)
-        self._scratch = np.empty(rows * (widest // 2), dtype=np.int64)
-        # two deltas are alive at once: a layer's output delta and its input's
-        self._deltas = tuple(np.empty(rows * max(dims[:-1])) for _ in range(2))
+        self.swaps = [np.empty((rows, w // 2), dtype=np.int8) for w in hidden]
+        self.logits = np.empty((rows, model.n_classes))
+        self._pre = np.empty(rows * max(hidden, default=0))
+        self._scratch = self._pre.view(np.int64)  # forward alone reads _pre
+        self._input_grad = np.empty((rows, model.in_dim))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Logits of the rows of `x`, recording what `backward` needs."""
@@ -294,7 +291,7 @@ class Trace:
         Without `x`, returns the gradient at the network input (a view
         into the trace). With `x`, the input of that forward pass, returns
         each layer's (grad_w, grad_b) instead. At tied pairs the
-        subgradient keeps the input order.
+        subgradient keeps the input order. Either pass overwrites `post`.
         """
         m = delta.shape[0]
         grads = []
@@ -310,7 +307,7 @@ class Trace:
                 grads.append((delta.T @ layer_input, delta.sum(axis=0)))
                 if i == 0:
                     return grads[::-1]
-            out = _rows_view(self._deltas[i % 2], m, weight.shape[1])
+            out = self.post[i - 1][:m] if i else self._input_grad[:m]  # its last read is done
             np.matmul(delta, weight, out=out)
             delta = out
         return delta
@@ -409,16 +406,17 @@ def train_toy(
     if epochs == 0:
         return model
     ortho = [layer.orthogonal for layer in model.layers]
-    onehot = np.eye(model.n_classes)[ys]
-    trace = Trace(model, x.shape[0])
+    rows, trace = np.arange(x.shape[0]), Trace(model, x.shape[0])
     for _ in range(epochs):
-        probs = _softmax(trace.forward(x) / temperature)
-        loss = -np.mean(np.sum(onehot * np.log(probs + 1e-300), axis=1))
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"loss diverged to {loss}")
-        delta = (probs - onehot) / (x.shape[0] * temperature)
-        grads = trace.backward(delta, x)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        with np.errstate(over="ignore", invalid="ignore"):  # both results are checked
+            delta = trace.forward(x)  # softmax, then (probs - onehot) / (n T), in place
+            delta /= temperature
+            # each p is in [0, 1] or NaN, so the loss is finite exactly when every p is
+            if not np.isfinite(_softmax(delta)).all():
+                raise TrainingDivergedError("loss diverged: the softmax is not finite")
+            delta[rows, ys] -= 1.0
+            delta /= x.shape[0] * temperature
+            grads = trace.backward(delta, x)
             params = [(w - lr * gw, b - lr * gb) for (w, b), (gw, gb) in zip(trace.params, grads)]
         if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in params):
             raise TrainingDivergedError(f"update diverged at lr={lr}")
@@ -460,12 +458,15 @@ def from_json(text: str) -> LipschitzClassifier:
         raise ValueError(f"model 'layers' must be a list, got {type(specs).__name__}")
     for i, spec in enumerate(specs):
         require_keys(spec, ("weight", "bias", "orthogonal"), f"model layer {i}")
+        if not isinstance(spec["orthogonal"], bool):
+            raise ValueError(f"model layer {i}: 'orthogonal' must be a JSON boolean, "
+                             f"got {type(spec['orthogonal']).__name__}")
     try:
         layers = tuple(
             AffineLayer(
                 weight=np.array(spec["weight"], dtype=float),
                 bias=np.array(spec["bias"], dtype=float),
-                orthogonal=bool(spec["orthogonal"]),
+                orthogonal=spec["orthogonal"],
             )
             for spec in specs
         )

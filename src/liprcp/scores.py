@@ -68,8 +68,8 @@ class ScoreSpec:
         require_keys(doc, ("kind", "temperature"), "score_spec")
         return ScoreSpec(
             kind=doc["kind"],
-            temperature=float(doc["temperature"]),
-            bias=float(doc.get("bias", 0.0)),
+            temperature=json_number(doc, "temperature", "score_spec"),
+            bias=json_number(doc, "bias", "score_spec") if "bias" in doc else 0.0,
         )
 
 
@@ -87,6 +87,23 @@ def require_keys(doc, keys, what: str):
     return doc
 
 
+def json_number(doc: dict, key: str, what: str, kind: type = float):
+    """doc[key], a JSON number, as `kind` (float, or int for a JSON integer).
+
+    A boolean, a string, null or any other value raises ValueError naming
+    `what` and the key, as does an integer too large for a float.
+    """
+    value = doc[key]
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        name = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what}: {key!r} must be {name}, got {type(value).__name__}")
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise ValueError(f"{what}: {key!r} is out of range ({exc})") from exc
+
+
 def check_budget(epsilon: float) -> None:
     """Raise ValueError unless the perturbation budget is in [0, inf)."""
     if not 0 <= epsilon < math.inf:
@@ -97,11 +114,11 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=float)))
 
 
-def _softmax(z):
-    z = np.asarray(z, dtype=float)
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of the float array `z`, written over `z`."""
+    z -= np.max(z, axis=-1, keepdims=True)
+    z /= np.sum(np.exp(z, out=z), axis=-1, keepdims=True)
+    return z
 
 
 def _margin_form(spec: ScoreSpec) -> tuple[float, float]:

@@ -841,6 +841,81 @@ class TestMalformedFiles:
         assert message in json.loads(stderr)["error"]
 
 
+class TestStrictJson:
+    """--model and --record are read by one JSON reader, with strict types."""
+
+    def predict(self, workspace, capsys, model=None, record=None):
+        return run(
+            ["predict", "--data", str(workspace["eval"]),
+             "--model", str(model or workspace["model"]),
+             "--record", str(record or workspace["record"]),
+             "--out", str(workspace["tmp"] / "sets.csv")], capsys
+        )
+
+    @pytest.mark.parametrize("which", ["model", "record"])
+    @pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000, "{", ""],
+                             ids=["deep", "truncated", "empty"])
+    def test_unreadable_json_names_its_file(self, workspace, capsys, which, text):
+        bad = workspace["tmp"] / f"bad_{which}.json"
+        bad.write_text(text)
+        code, stdout, stderr = self.predict(workspace, capsys, **{which: bad})
+        assert (code, stdout) == (1, "")
+        error = json.loads(stderr)["error"]
+        assert error.startswith(f"{bad}: not a readable JSON document (")
+        assert not (workspace["tmp"] / "sets.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["no", 1, None, "true"])
+    def test_orthogonal_must_be_a_json_boolean(self, workspace, capsys, flag):
+        doc = json.loads(workspace["model"].read_text())
+        doc["layers"][0]["orthogonal"] = flag
+        bad = workspace["tmp"] / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        code, stdout, stderr = self.predict(workspace, capsys, model=bad)
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr) == {"error": "model layer 0: 'orthogonal' must be a "
+                                               f"JSON boolean, got {type(flag).__name__}"}
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {**doc, "q_alpha": True}, "'q_alpha' must be a number, got bool"),
+            (lambda doc: {**doc, "alpha": "0.1"}, "'alpha' must be a number, got str"),
+            (lambda doc: {**doc, "n_cal": 200.0}, "'n_cal' must be an integer, got float"),
+            (lambda doc: {**doc, "n_cal": False}, "'n_cal' must be an integer, got bool"),
+            (lambda doc: {**doc, "epsilon_calibrated": [0.0]},
+             "'epsilon_calibrated' must be a number, got list"),
+            (lambda doc: {**doc, "lipschitz_product": 10**400}, "'lipschitz_product' is out of range"),
+            (lambda doc: {**doc, "score_spec": {**doc["score_spec"], "temperature": "1"}},
+             "score_spec: 'temperature' must be a number, got str"),
+            (lambda doc: {**doc, "score_spec": {**doc["score_spec"], "bias": True}},
+             "score_spec: 'bias' must be a number, got bool"),
+        ],
+        ids=["bool-q_alpha", "str-alpha", "float-n_cal", "bool-n_cal", "list-epsilon",
+             "huge-int-lipschitz", "str-temperature", "bool-bias"],
+    )
+    def test_record_numbers_must_be_json_numbers(self, workspace, capsys, edit, message):
+        bad = workspace["tmp"] / "bad_record.json"
+        bad.write_text(json.dumps(edit(json.loads(workspace["record"].read_text()))))
+        code, stdout, stderr = self.predict(workspace, capsys, record=bad)
+        assert (code, stdout) == (1, "")
+        assert message in json.loads(stderr)["error"]
+
+
+def test_out_of_memory_is_one_json_error(workspace, capsys, monkeypatch):
+    # the trace's first buffer fails as numpy's would; never a huge real request
+    def refuse(self, model, rows):
+        raise MemoryError(f"Unable to allocate {rows} rows")
+
+    monkeypatch.setattr(lipnet.Trace, "__init__", refuse)
+    out = workspace["tmp"] / "out" / "model.json"
+    code, stdout, stderr = run(
+        ["train", "--data", str(workspace["data"]), "--out", str(out), "--epochs", "1"], capsys
+    )
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "out of memory: Unable to allocate 400 rows"}
+    assert not out.exists()
+
+
 def _relabel(src, dst, label):
     """A copy of the CSV `src` whose second row carries `label`."""
     lines = src.read_text().splitlines()

@@ -301,6 +301,43 @@ class TestBlocks:
         assert peak < 3 * back.data.nbytes
 
 
+def save_csv_per_row(ds, path):
+    """The writer before blocks: every row converted at once, written one by one."""
+    prefix = "logit" if ds.kind == PRECOMPUTED_LOGITS else "x"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("id,label," + ",".join(f"{prefix}_{j}" for j in range(ds.data.shape[1])) + "\n")
+        for rid, label, row in zip(ds.ids.tolist(), ds.labels.tolist(), ds.data.tolist()):
+            fh.write(f"{rid},{label},{','.join(map(repr, row))}\n")
+
+
+class TestSaveBlocks:
+    """The body is formatted `datasets.BLOCK_LINES` rows at a time."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_same_bytes_as_the_per_row_writer(self, tmp_path, offset):
+        ds = make_gaussian_mixture(datasets.BLOCK_LINES + offset, 3, 2, 2.0, seed=4)
+        logits = LabeledDataset(ds.data, ds.labels, ds.ids, kind=PRECOMPUTED_LOGITS)
+        for i, data in enumerate((ds, logits)):
+            save_csv(data, tmp_path / f"blocks{i}.csv")
+            save_csv_per_row(data, tmp_path / f"rows{i}.csv")
+            got = (tmp_path / f"blocks{i}.csv").read_bytes()
+            assert got == (tmp_path / f"rows{i}.csv").read_bytes()
+
+    def test_peak_is_one_block_of_python_floats(self, tmp_path):
+        # a Python float and its list slot take 32 bytes, its repr more: the
+        # whole table at once took 370 bytes a cell of one block at 8 blocks
+        width = 8
+        ds = make_gaussian_mixture(8 * datasets.BLOCK_LINES, width, 4, 2.0, seed=3)
+        save_csv(ds, tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            save_csv(ds, tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 * datasets.BLOCK_LINES * width
+
+
 # str.splitlines breaks a line at each of these; no cell or id may hold one
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _ODD_CELLS = [

@@ -125,24 +125,26 @@ class TestForward:
             np.testing.assert_array_equal(
                 groupsort2(x).view(np.uint64), groupsort2_oracle(x).view(np.uint64)
             )
-            # the trace's kernels: the sort records its swaps as -1 / 0
+            # the trace's kernels: the sort records its swaps as -1 / 0, in
+            # int64 masks and in the trace's int8 ones
             swaps = groupsort2_swaps_oracle(x)
-            recorded = np.empty(swaps.shape, dtype=np.int64)
-            sorted_x = np.empty(shape)
-            lipnet._sort_pairs(x, sorted_x, recorded)
-            np.testing.assert_array_equal(
-                sorted_x.view(np.uint64), groupsort2_oracle(x).view(np.uint64)
-            )
-            np.testing.assert_array_equal(recorded, -swaps.astype(np.int64))
             v = rng.standard_normal(shape)
             v.flat[::5] = np.nan
             v.flat[1::6] = -0.0
             v.flat[2::6] = 0.0
-            swapped = v.copy()
-            lipnet._swap_pairs(swapped, recorded, np.empty(swaps.shape, dtype=np.int64))
-            np.testing.assert_array_equal(
-                swapped.view(np.uint64), apply_swaps_oracle(v, swaps).view(np.uint64)
-            )
+            for dtype in (np.int64, np.int8):
+                recorded = np.empty(swaps.shape, dtype=dtype)
+                sorted_x = np.empty(shape)
+                lipnet._sort_pairs(x, sorted_x, recorded)
+                np.testing.assert_array_equal(
+                    sorted_x.view(np.uint64), groupsort2_oracle(x).view(np.uint64)
+                )
+                np.testing.assert_array_equal(recorded, -swaps.astype(dtype))
+                swapped = v.copy()
+                lipnet._swap_pairs(swapped, recorded, np.empty(swaps.shape, dtype=np.int64))
+                np.testing.assert_array_equal(
+                    swapped.view(np.uint64), apply_swaps_oracle(v, swaps).view(np.uint64)
+                )
 
     def test_identity_model(self):
         model = linear_model(np.eye(3))
@@ -371,6 +373,53 @@ class TestTrainToy:
             warnings.simplefilter("error")
             with pytest.raises(lipnet.TrainingDivergedError, match="update diverged"):
                 train_toy(model, x, y, epochs=5, lr=1e308)
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    @pytest.mark.parametrize("fill", [0.7, 0.0])
+    def test_extreme_rows_end_without_warnings(self, seed, fill):
+        # the loader accepts ±1e308 as finite: logits that far apart overflow
+        # the softmax's shift, and with every cell extreme the first product
+        rng = np.random.default_rng(seed)
+        x = rng.choice([-1e308, 0.0, 1e308], size=(40, 4),
+                       p=[(1 - fill) / 2, fill, (1 - fill) / 2])
+        y = rng.integers(0, 2, size=40)
+        model = LipschitzClassifier(
+            layers=(build_orthogonal(4, 4, seed=seed), build_orthogonal(4, 2, seed=seed + 1))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                trained = train_toy(model, x, y, epochs=3, lr=0.5)
+            except lipnet.TrainingDivergedError:
+                return
+        assert all(np.isfinite(layer.weight).all() for layer in trained.layers)
+
+    def test_non_finite_softmax_is_loss_diverged(self):
+        # 2e308 overflows to inf, and inf - inf makes the softmax NaN
+        model = linear_model(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        x = np.array([[1e308, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lipnet.TrainingDivergedError, match="loss diverged"):
+                train_toy(model, x, np.array([0, 1]), epochs=2, lr=0.1)
+
+    def test_peak_is_one_trace_without_deltas(self):
+        # one full-batch trace: the GroupSort2 outputs, the pre-activations,
+        # the logits, int8 swap masks and the input-gradient buffer, which
+        # training allocates but never writes, plus one (n, c) array of
+        # room; delta buffers, int64 masks or a one-hot matrix would not fit
+        n, d, c = 4096, 32, 8
+        model = random_deep_model(np.random.default_rng(8), dims=(d, d, d, c))
+        x = np.random.default_rng(9).standard_normal((n, d))
+        y = np.random.default_rng(10).integers(0, c, size=n)
+        tracemalloc.start()
+        try:
+            train_toy(model, x, y, epochs=2, lr=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trace = 2 * n * d * 8 + n * d * 8 + n * c * 8 + 2 * n * (d // 2) + n * d * 8
+        assert peak <= trace + n * c * 8
 
     def test_stalled_projection_is_a_value_error(self):
         # a singular value of 1e-200 needs about 1 100 Bjorck steps to reach 1

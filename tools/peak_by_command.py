@@ -9,7 +9,11 @@ It sets up the workload as ``perfbench/run.py`` does and runs its command
 sequence ``--repeats`` times, each command in a fresh interpreter. For each
 command it prints the median of its ``ru_maxrss`` (from ``os.wait4``) and of
 its wall time, and marks the command whose median peak is the highest: the
-one that sets the workload's ``peak_rss_mb``. The workload definitions and
+one that sets the workload's ``peak_rss_mb``. A last ``floor`` row gives the
+same medians for ``python -c "import liprcp.cli"``, spawned the same way in
+every repetition: ``ru_maxrss`` counts the spawner's own pages from before
+``exec``, so no command reads below it, and a command's peak shows its own
+memory only as its distance above that row. The workload definitions and
 the process runner are imported from ``perfbench/run.py`` and used as they
 are, so the commands and their sizes are the benchmark's own.
 
@@ -40,13 +44,28 @@ def load_run():
     return module
 
 
+FLOOR = [sys.executable, "-c", "import liprcp.cli"]
+
+
+def floor(run, ws: Path, env: dict, deadline: float) -> dict:
+    """The result of one `FLOOR` spawn, in the fields of a command's result."""
+    seconds, code, rss, _, killed = run._spawn(
+        FLOOR, ws, env, ws / "logs" / "floor", deadline - time.perf_counter()
+    )
+    problems = ["killed by the run's time limit"] if killed else []
+    problems += [f"exit code {code}"] if code and not killed else []
+    return {"seconds": seconds, "rss_mb": rss, "problems": problems}
+
+
 def medians(cmds, reps):
-    """(name, median MB, median s, problems) of each command over `reps`."""
+    """(name, median MB, median s, problems) of each command over `reps`,
+    then of the floor."""
     rows = []
-    for i, (cmd, _) in enumerate(cmds):
-        results = [rep["results"][i] for rep in reps]
+    names = [f"{i}:{cmd}" for i, (cmd, _) in enumerate(cmds)] + ["floor"]
+    for i, name in enumerate(names):
+        results = [(rep["results"] + [rep["floor"]])[i] for rep in reps]
         problems = sorted({msg for r in results for msg in r["problems"]})
-        rows.append((f"{i}:{cmd}", statistics.median(r["rss_mb"] for r in results),
+        rows.append((name, statistics.median(r["rss_mb"] for r in results),
                      statistics.median(r["seconds"] for r in results), problems))
     return rows
 
@@ -83,7 +102,9 @@ def main() -> int:
         order = list(trees)
         for _ in range(args.repeats):
             for side in order:
-                reps[side].append(run._repeat(cmds, ws[side], envs[side], p["n"], deadline))
+                rep = run._repeat(cmds, ws[side], envs[side], p["n"], deadline)
+                rep["floor"] = floor(run, ws[side], envs[side], deadline)
+                reps[side].append(rep)
             order.reverse()
     finally:
         for path in ws.values():
@@ -96,13 +117,14 @@ def main() -> int:
     heads = [f"{name[s]}peak RSS (MB)" for s in sides] + [f"{name[s]}wall (s)" for s in sides]
     print(f"| command | {' | '.join(heads)} |")
     print("| --- " * (len(heads) + 1) + "|")
-    tops = {side: max(rss for _, rss, _, _ in rows[side]) for side in sides}
+    tops = {side: max(rss for _, rss, _, _ in rows[side][:-1]) for side in sides}
     failed = False
     for i, (command, *_) in enumerate(rows["change"]):
         peaks, walls, notes = [], [], []
         for side in sides:
             _, rss, seconds, problems = rows[side][i]
-            peaks.append(f"{rss:.1f}{' (peak)' if rss == tops[side] else ''}")
+            top = rss == tops[side] and command != "floor"
+            peaks.append(f"{rss:.1f}{' (peak)' if top else ''}")
             walls.append(f"{seconds:.2f}")
             notes += [f"{name[side]}{msg}" for msg in problems]
         failed = failed or bool(notes)
